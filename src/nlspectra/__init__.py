@@ -13,71 +13,41 @@ asymptotic series (large k*delta).
 Hot kernels run in a compiled extension when available; set
 ``NLSPECTRA_BACKEND=python`` to force the pure-Python fallback (see
 ``nlspectra._backend.BACKEND`` for the active choice).
+
+The names below are the package's public surface; everything else is
+importable from its submodule (``specfun``, ``drummond``, ``spectra``,
+``oracle``).
 """
 
 from ._backend import BACKEND
-from .drummond import (
-    DEFAULT_KMAX,
-    DEFAULT_TOL,
-    DrummondState,
-    HypTerm2F0,
-    LommelOrder,
-    TransformResult,
-    drummond_2f0,
-    drummond_2f0_approximants,
-    drummond_2f0_at_order,
-    drummond_generic,
-    lommel_s,
-)
+from .drummond import HypTerm2F0, drummond_2f0_at_order
 from .errors import NonConvergenceError
-from .specfun import LANCZOS, LanczosTable, bessel_j, digamma, gamma, log_gamma_ratio
 from .spectra import (
-    HYBRID_SWITCH,
+    DEFAULT_TOL,
     EvalResult,
     KernelParams,
     SpectrumTable,
-    WavenumberKey,
-    achievable_squared_norms,
     apply_to_fourier_coeffs,
     lambda_asymptotic,
     lambda_hybrid,
     lambda_maclaurin,
     lattice_spectrum,
-    stable_prefactor,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_KMAX",
     "DEFAULT_TOL",
-    "HYBRID_SWITCH",
-    "LANCZOS",
-    "DrummondState",
-    "EvalResult",
-    "HypTerm2F0",
-    "KernelParams",
-    "LanczosTable",
-    "LommelOrder",
     "NonConvergenceError",
+    "KernelParams",
+    "EvalResult",
     "SpectrumTable",
-    "TransformResult",
-    "WavenumberKey",
-    "achievable_squared_norms",
-    "apply_to_fourier_coeffs",
-    "bessel_j",
-    "digamma",
-    "drummond_2f0",
-    "drummond_2f0_approximants",
-    "drummond_2f0_at_order",
-    "drummond_generic",
-    "gamma",
+    "lambda_maclaurin",
     "lambda_asymptotic",
     "lambda_hybrid",
-    "lambda_maclaurin",
     "lattice_spectrum",
-    "log_gamma_ratio",
-    "lommel_s",
-    "stable_prefactor",
+    "apply_to_fourier_coeffs",
+    "HypTerm2F0",
+    "drummond_2f0_at_order",
 ]

@@ -261,69 +261,87 @@ def _nan_like(v):
     return math.nan
 
 
-def drummond_2f0(alpha, beta, z, n, tol, k_max):
-    """Resummation of sum_k (alpha)_k (beta)_k / (-z)^k by the four-term
-    numerator/denominator recurrence.
+def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
+    """The four-term numerator/denominator recurrence of Drummond's
+    transformation for the terms a_k = (alpha)_k (beta)_k / (-z)^k.
 
-    Returns (value, order, converged, est_rel_err). Works for float or
-    complex parameters; terminating parameter values (alpha or beta a
-    nonpositive integer) must be screened by the caller.
+    Advances N_n^(k), D_n^(k) towards k = k_end. With ``tol=None`` it
+    returns the approximant T_n^(k_end) alone, forming no intermediate
+    quotient; otherwise it returns (value, order, converged, est_rel_err)
+    and stops once two consecutive approximant differences fall below
+    tol * |T|.
     """
+    early = tol is not None
     a = 1.0
     s = 1.0
     for j in range(n):
         a = a * (alpha + j) * (beta + j) / (-z)
         s = s + a
+    if not early and k_end == 0:
+        return s
     a = a * (alpha + n) * (beta + n) / (-z)  # a_{n+1}
     d_prev = 1.0 / a
     n_prev = s * d_prev
     r = (alpha + n + 1.0) * (beta + n + 1.0)
+    if not early and r == 0:
+        return _nan_like(d_prev)
     d_cur = -(z / r + 1.0) * d_prev
     n_cur = s * d_cur - z / r
     n_prev2 = 0.0 * d_cur
     d_prev2 = 0.0 * d_cur
-    t_prev = s + 0.0 * d_cur
-    t_cur = n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
-    order = 1
+    if early:
+        t_prev = s + 0.0 * d_cur
+        t_cur = n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
+        order = 1
     ab2n = alpha + beta + 2.0 * n
-    for k in range(1, k_max):
+    for k in range(1, k_end):
         lead = (alpha + n + k + 1.0) * (beta + n + k + 1.0)
         if lead == 0:
-            break
+            if early:
+                break
+            return _nan_like(d_cur)
         b = z + k * (ab2n + 2.0 * k + 1.0) + lead
         c = k * (ab2n + 3.0 * k)
         e = k * (k - 1.0)
         n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
         d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
         m = max(abs(n_new), abs(d_new))
-        if m > _RESCALE_THRESHOLD:
-            n_new *= _RESCALE_TINY
-            n_cur *= _RESCALE_TINY
-            n_prev *= _RESCALE_TINY
-            d_new *= _RESCALE_TINY
-            d_cur *= _RESCALE_TINY
-            d_prev *= _RESCALE_TINY
-        elif 0.0 < m < _RESCALE_TINY:
-            n_new *= _RESCALE_THRESHOLD
-            n_cur *= _RESCALE_THRESHOLD
-            n_prev *= _RESCALE_THRESHOLD
-            d_new *= _RESCALE_THRESHOLD
-            d_cur *= _RESCALE_THRESHOLD
-            d_prev *= _RESCALE_THRESHOLD
-        t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
-        order = k + 1
-        diff1 = abs(t_new - t_cur)
-        diff0 = abs(t_cur - t_prev)
-        at_new = abs(t_new)
-        if diff1 < tol * at_new and diff0 < tol * abs(t_cur):
-            est = diff1 / at_new if at_new > 0.0 else 0.0
-            return (t_new, order, True, est)
+        if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
+            scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
+            n_new *= scale
+            n_cur *= scale
+            n_prev *= scale
+            d_new *= scale
+            d_cur *= scale
+            d_prev *= scale
+        if early:
+            t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
+            order = k + 1
+            diff1 = abs(t_new - t_cur)
+            diff0 = abs(t_cur - t_prev)
+            at_new = abs(t_new)
+            if diff1 < tol * at_new and diff0 < tol * abs(t_cur):
+                est = diff1 / at_new if at_new > 0.0 else 0.0
+                return (t_new, order, True, est)
+            t_prev, t_cur = t_cur, t_new
         n_prev2, n_prev, n_cur = n_prev, n_cur, n_new
         d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
-        t_prev, t_cur = t_cur, t_new
+    if not early:
+        return n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
     at = abs(t_cur)
     est = abs(t_cur - t_prev) / at if at > 0.0 else math.inf
     return (t_cur, order, False, est)
+
+
+def drummond_2f0(alpha, beta, z, n, tol, k_max):
+    """Resummation of sum_k (alpha)_k (beta)_k / (-z)^k, stopping at the
+    tolerance or at order k_max.
+
+    Returns (value, order, converged, est_rel_err). Works for float or
+    complex parameters; terminating parameter values (alpha or beta a
+    nonpositive integer) must be screened by the caller.
+    """
+    return _drummond_recurrence(alpha, beta, z, n, tol, k_max)
 
 
 def drummond_2f0_fixed(alpha, beta, z, n, order):
@@ -334,48 +352,4 @@ def drummond_2f0_fixed(alpha, beta, z, n, order):
     """
     if z == 0:
         return _nan_like(1.0 * alpha * beta * z)
-    a = 1.0
-    s = 1.0
-    for j in range(n):
-        a = a * (alpha + j) * (beta + j) / (-z)
-        s = s + a
-    if order == 0:
-        return s
-    a = a * (alpha + n) * (beta + n) / (-z)
-    d_prev = 1.0 / a
-    n_prev = s * d_prev
-    r = (alpha + n + 1.0) * (beta + n + 1.0)
-    if r == 0:
-        return _nan_like(d_prev)
-    d_cur = -(z / r + 1.0) * d_prev
-    n_cur = s * d_cur - z / r
-    n_prev2 = 0.0 * d_cur
-    d_prev2 = 0.0 * d_cur
-    ab2n = alpha + beta + 2.0 * n
-    for k in range(1, order):
-        lead = (alpha + n + k + 1.0) * (beta + n + k + 1.0)
-        if lead == 0:
-            return _nan_like(d_cur)
-        b = z + k * (ab2n + 2.0 * k + 1.0) + lead
-        c = k * (ab2n + 3.0 * k)
-        e = k * (k - 1.0)
-        n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
-        d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
-        m = max(abs(n_new), abs(d_new))
-        if m > _RESCALE_THRESHOLD:
-            n_new *= _RESCALE_TINY
-            n_cur *= _RESCALE_TINY
-            n_prev *= _RESCALE_TINY
-            d_new *= _RESCALE_TINY
-            d_cur *= _RESCALE_TINY
-            d_prev *= _RESCALE_TINY
-        elif 0.0 < m < _RESCALE_TINY:
-            n_new *= _RESCALE_THRESHOLD
-            n_cur *= _RESCALE_THRESHOLD
-            n_prev *= _RESCALE_THRESHOLD
-            d_new *= _RESCALE_THRESHOLD
-            d_cur *= _RESCALE_THRESHOLD
-            d_prev *= _RESCALE_THRESHOLD
-        n_prev2, n_prev, n_cur = n_prev, n_cur, n_new
-        d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
-    return n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
+    return _drummond_recurrence(alpha, beta, z, n, None, order)

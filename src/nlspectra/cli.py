@@ -163,7 +163,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     table = lattice_spectrum(params, args.kmax, args.tol, jobs=jobs)

@@ -5,21 +5,20 @@ partial sums s_n:
 
     T_n^(k) = Delta^k (s_n / Delta s_n) / Delta^k (1 / Delta s_n)
 
-``drummond_generic`` computes this finite-difference quotient directly in
-O(k^2) operations for arbitrary term sequences. For the hypergeometric-type
-terms a_k = (alpha)_k (beta)_k / (-z)^k the numerators and denominators
-both satisfy a four-term recurrence in k, which ``drummond_2f0`` advances
-in O(1) work per order; besides the speedup, the recurrence is what keeps
-high orders numerically stable. Lommel functions of the second kind are
-evaluated by resumming their divergent large-argument expansion.
+For the hypergeometric-type terms a_k = (alpha)_k (beta)_k / (-z)^k the
+numerators and denominators both satisfy a four-term recurrence in k, which
+the backend kernels advance in O(1) work per order; besides the speedup
+over the O(k^2) finite-difference form (kept as a reference in
+``nlspectra.oracle``), the recurrence is what keeps high orders numerically
+stable. Lommel functions of the second kind are evaluated by resumming
+their divergent large-argument expansion.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from ._backend import kernels as _k
 from .errors import NonConvergenceError
@@ -28,13 +27,10 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_KMAX",
     "HypTerm2F0",
-    "DrummondState",
     "TransformResult",
     "LommelOrder",
-    "drummond_generic",
     "drummond_2f0",
     "drummond_2f0_at_order",
-    "drummond_2f0_approximants",
     "lommel_s",
 ]
 
@@ -44,9 +40,6 @@ Scalar = Union[float, complex]
 DEFAULT_TOL = 10.0 * sys.float_info.epsilon
 #: Order cap; convergence typically needs a few tens of orders.
 DEFAULT_KMAX = 500
-
-_RESCALE_THRESHOLD = 2.0**512
-_RESCALE_TINY = 2.0**-512
 
 
 def _nonpositive_int(value: Scalar) -> int | None:
@@ -137,37 +130,29 @@ def _terminating_sum(term: HypTerm2F0, m: int) -> Scalar:
     return s
 
 
-def drummond_generic(terms: Sequence[Scalar], n: int, k: int) -> Scalar:
-    """T_n^(k) from explicit terms a_0..a_m via the finite-difference quotient.
+def _kernel_args(
+    term: HypTerm2F0, n: int, order: int | None
+) -> tuple[int | None, tuple[Scalar, Scalar, Scalar] | None]:
+    """Validate (term, n) and screen for termination.
 
-    Needs m >= n+k+1. The difference tables are updated in place, so no
-    binomial coefficients are formed. A zero term among the weights
-    a_{n+1}..a_{n+k+1} is treated as series termination and the terminal
-    partial sum (the transformation's exact limit there) is returned.
+    Returns (m, None) when the wanted approximant is the terminal partial
+    sum s_m: with alpha or beta = -m the weights a_{n+1}..a_{n+order+1}
+    contain a vanishing term once n + order >= m (``order=None``: at any
+    order). Otherwise returns (m, args) with the kernel arguments
+    (alpha, beta, z), all float when the parameters are real and all
+    complex when not.
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if len(terms) < n + k + 2:
-        raise ValueError(
-            f"need terms a_0..a_{n + k + 1} (got {len(terms)}) for n={n}, k={k}"
-        )
-    ps: list[Scalar] = []
-    s: Scalar = 0.0
-    for a in terms[: n + k + 2]:
-        s = s + a
-        ps.append(s)
-    for j in range(k + 1):
-        if terms[n + j + 1] == 0:
-            return ps[n + j]
-    num = [ps[n + j] / terms[n + j + 1] for j in range(k + 1)]
-    den = [1.0 / terms[n + j + 1] for j in range(k + 1)]
-    for i in range(k):
-        for j in range(k - i):
-            num[j] = num[j + 1] - num[j]
-            den[j] = den[j + 1] - den[j]
-    if den[0] == 0:
-        raise ZeroDivisionError(f"denominator difference vanished at n={n}, k={k}")
-    return num[0] / den[0]
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if term.z == 0:
+        raise ValueError("z = 0: the series has no meaningful resummation")
+    m = term.termination_index()
+    if m is not None and (order is None or n + order >= m):
+        return m, None
+    alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
+    if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
+        return m, (alpha.real, beta.real, z.real)
+    return m, (alpha, beta, z)
 
 
 def drummond_2f0(
@@ -183,23 +168,13 @@ def drummond_2f0(
     are summed exactly and report order m+1. On hitting ``k_max`` the best
     value is returned with ``converged=False``; no exception is raised.
     """
-    if term.z == 0:
-        raise ValueError("z = 0: the series has no meaningful resummation")
     if not tol >= sys.float_info.epsilon:
         raise ValueError(f"tol must be >= machine epsilon, got {tol}")
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-
-    m = term.termination_index()
-    if m is not None:
+    m, args = _kernel_args(term, n, None)
+    if args is None:
         return TransformResult(_terminating_sum(term, m), m + 1, True, 0.0)
-
-    if term.is_real():
-        args = (complex(term.alpha).real, complex(term.beta).real, complex(term.z).real)
-    else:
-        args = (complex(term.alpha), complex(term.beta), complex(term.z))
     value, order, converged, est = _k.drummond_2f0(*args, n, tol, k_max)
     return TransformResult(value, order, bool(converged), est)
 
@@ -208,106 +183,10 @@ def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
     """T_n^(order) with no early exit; NaN where the approximant has a pole."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if term.z == 0:
-        raise ValueError("z = 0: the series has no meaningful resummation")
-    m = term.termination_index()
-    if m is not None and order > m:
+    m, args = _kernel_args(term, n, order)
+    if args is None:
         return _terminating_sum(term, m)
-    if term.is_real():
-        args = (complex(term.alpha).real, complex(term.beta).real, complex(term.z).real)
-    else:
-        args = (complex(term.alpha), complex(term.beta), complex(term.z))
     return _k.drummond_2f0_fixed(*args, n, order)
-
-
-@dataclass
-class DrummondState:
-    """Rolling window of the numerator/denominator recurrence.
-
-    Holds N_n^(k), N_n^(k-1), N_n^(k-2) and the D counterparts together
-    with the last two approximants; ``advance`` moves k -> k+1.
-    """
-
-    k: int
-    n: int
-    N_cur: Scalar
-    N_prev: Scalar
-    N_prev2: Scalar
-    D_cur: Scalar
-    D_prev: Scalar
-    D_prev2: Scalar
-    T_cur: Scalar
-    T_prev: Scalar
-
-    @classmethod
-    def start(cls, term: HypTerm2F0, n: int = 0) -> "DrummondState":
-        """State at k = 1 from the initial data D^(0)=1/a_{n+1}, N^(0)=s_n D^(0),
-        N^(1) = s_n D^(1) + a_{n+1}/a_{n+2}."""
-        if term.z == 0:
-            raise ValueError("z = 0: the series has no meaningful resummation")
-        a: Scalar = 1.0
-        s: Scalar = 1.0
-        for j in range(n):
-            a = a * (term.alpha + j) * (term.beta + j) / (-term.z)
-            s = s + a
-        a = a * (term.alpha + n) * (term.beta + n) / (-term.z)
-        d0 = 1.0 / a
-        n0 = s * d0
-        r = (term.alpha + n + 1.0) * (term.beta + n + 1.0)
-        d1 = -(term.z / r + 1.0) * d0
-        n1 = s * d1 - term.z / r
-        t1 = n1 / d1 if d1 != 0 else math.nan
-        return cls(1, n, n1, n0, 0.0, d1, d0, 0.0, t1, s)
-
-    def advance(self, term: HypTerm2F0) -> None:
-        k = self.k
-        n = self.n
-        lead = (term.alpha + n + k + 1.0) * (term.beta + n + k + 1.0)
-        if lead == 0:
-            raise ZeroDivisionError(
-                f"recurrence leading coefficient vanished at k={k} (terminating series)"
-            )
-        ab2n = term.alpha + term.beta + 2.0 * n
-        b = term.z + k * (ab2n + 2.0 * k + 1.0) + lead
-        c = k * (ab2n + 3.0 * k)
-        e = k * (k - 1.0)
-        n_new = -(b * self.N_cur + c * self.N_prev + e * self.N_prev2) / lead
-        d_new = -(b * self.D_cur + c * self.D_prev + e * self.D_prev2) / lead
-        m = max(abs(n_new), abs(d_new))
-        if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
-            scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
-            n_new *= scale
-            d_new *= scale
-            self.N_cur *= scale
-            self.D_cur *= scale
-            self.N_prev *= scale
-            self.D_prev *= scale
-        self.N_prev2, self.N_prev, self.N_cur = self.N_prev, self.N_cur, n_new
-        self.D_prev2, self.D_prev, self.D_cur = self.D_prev, self.D_cur, d_new
-        self.T_prev = self.T_cur
-        self.T_cur = n_new / d_new if d_new != 0 else math.nan
-        self.k = k + 1
-
-
-def drummond_2f0_approximants(term: HypTerm2F0, n: int = 0, k_max: int = DEFAULT_KMAX):
-    """Yield (k, T_n^(k)) for k = 0, 1, ... via DrummondState.
-
-    Introspectable step-by-step path; the backends implement the same
-    recurrence as a closed loop.
-    """
-    a: Scalar = 1.0
-    s: Scalar = 1.0
-    for j in range(n):
-        a = a * (term.alpha + j) * (term.beta + j) / (-term.z)
-        s = s + a
-    yield 0, s
-    state = DrummondState.start(term, n)
-    yield 1, state.T_cur
-    while state.k < k_max:
-        state.advance(term)
-        yield state.k, state.T_cur
 
 
 def _lommel_with_info(

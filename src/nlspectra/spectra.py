@@ -19,7 +19,6 @@ independent of all others, so lattice sweeps parallelize trivially.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -313,6 +312,9 @@ def lattice_spectrum(
     ms = achievable_squared_norms(params.d, kmax)
     entries: dict[int, EvalResult] = {}
     if jobs > 1 and len(ms) > 1:
+        # imported on first use: it adds about 20 ms to every package import
+        from concurrent.futures import ProcessPoolExecutor
+
         payloads = [(params, tol, m) for m in ms]
         chunk = max(1, len(ms) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:

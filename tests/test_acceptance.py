@@ -11,15 +11,15 @@ from nlspectra import (
     BACKEND,
     HypTerm2F0,
     KernelParams,
-    drummond_2f0,
     drummond_2f0_at_order,
-    drummond_generic,
     lambda_asymptotic,
     lambda_hybrid,
     lambda_maclaurin,
 )
 from nlspectra.cli import main as cli_main
+from nlspectra.drummond import drummond_2f0
 from nlspectra.oracle import (
+    drummond_generic,
     oracle_closed_form_d1_a0,
     oracle_denominator_poly,
     oracle_drummond_bigfloat,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +168,14 @@ class TestSpectrum:
                 "--kmax", "5000", "--out", str(out)) == 2
         )
 
+    def test_zero_jobs_exits_2(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert (
+            run("spectrum", "--d", "2", "--alpha", "1", "--delta", "1",
+                "--kmax", "1", "--out", str(out), "--jobs", "0") == 2
+        )
+        assert not out.exists()
+
 
 class TestPhase:
     def test_single_point_matches_oracle(self, tmp_path):
@@ -213,6 +224,21 @@ class TestPhase:
         origin = [r for r in rows if float(r["re_z"]) == 0.0][0]
         assert math.isnan(float(origin["re_T"]))
 
+    def test_terminating_series_is_exact(self, tmp_path):
+        # alpha = -1: T = 1 + a_1 = 1 + 1/z at every order >= 0
+        out = tmp_path / "p.csv"
+        assert (
+            run("phase", "--alpha", "-1", "--beta", "1", "--order", "1",
+                "--re-min", "-2", "--re-max", "2", "--im-min", "-1", "--im-max", "1",
+                "--nx", "3", "--ny", "2", "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            z = complex(float(row["re_z"]), float(row["im_z"]))
+            got = complex(float(row["re_T"]), float(row["im_T"]))
+            assert abs(got - 1 / z) <= 1e-15 * abs(1 / z)
+
     def test_order_guard_exits_2(self, tmp_path):
         out = tmp_path / "p.csv"
         assert (
@@ -244,3 +270,20 @@ class TestBench:
     def test_bad_reps_exits_2(self):
         assert run("bench", "--d", "3", "--alpha", "2", "--delta", "1",
                    "--k", "1", "--reps", "0") == 2
+
+
+def test_cli_import_loads_no_oracle_or_pool():
+    # mpmath (the oracles) and the process pool load only when a command needs them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "import nlspectra.cli\n"
+        "heavy = ('mpmath', 'concurrent.futures.process', 'multiprocessing')\n"
+        "print(','.join(m for m in heavy if m in sys.modules))\n"
+    )
+    path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == ""

@@ -1,21 +1,23 @@
 import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from nlspectra import (
-    DrummondState,
+from nlspectra import NonConvergenceError
+from nlspectra.drummond import (
     HypTerm2F0,
     LommelOrder,
-    NonConvergenceError,
     drummond_2f0,
-    drummond_2f0_approximants,
     drummond_2f0_at_order,
-    drummond_generic,
     lommel_s,
 )
 from nlspectra.oracle import (
+    DrummondState,
+    drummond_2f0_approximants,
+    drummond_generic,
     oracle_denominator_poly,
     oracle_drummond_bigfloat,
     oracle_drummond_reference,
@@ -140,6 +142,57 @@ class TestDrummond2F0:
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged
         assert res.est_rel_err > 0
+
+
+class TestDrummond2F0AtOrder:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_terminating_parameters_match_oracle(self, m, beta, n):
+        # once n + order >= m a weight a_{n+1}..a_{n+order+1} vanishes and the
+        # value is the terminal partial sum; below that it is an approximant
+        for z in [5.0, 8.0, complex(-4.0, 3.0)]:
+            term = HypTerm2F0(float(-m), beta, z)
+            for order in range(m + 2):
+                got = drummond_2f0_at_order(term, n, order)
+                ref = oracle_drummond_bigfloat(term, n, order)
+                assert rel(got, complex(ref)) <= 1e-14, (m, beta, n, z, order)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_terminating_first_order(self, n):
+        assert drummond_2f0_at_order(HypTerm2F0(-1.0, 1.0, 2.0), n, 1) == 1.5
+
+    def test_genuine_pole_is_nan(self):
+        # alpha = -2, beta = 1, z = 2 zeroes D_0^(1); nothing terminates below it
+        term = HypTerm2F0(-2.0, 1.0, 2.0)
+        assert math.isnan(drummond_2f0_at_order(term, 0, 1))
+        with pytest.raises(ZeroDivisionError):
+            oracle_drummond_bigfloat(term, 0, 1)
+
+    def test_converged_order_reproduces_value_bitwise(self):
+        # both entry points run one recurrence: stopping at order K and
+        # evaluating at fixed order K must give the same bits
+        rng = random.Random(20261017)
+        checked = 0
+        for i in range(600):
+            if i % 2:
+                alpha = complex(rng.uniform(0.05, 5.0), rng.uniform(-2.0, 2.0))
+                beta = complex(rng.uniform(0.05, 5.0), rng.uniform(-2.0, 2.0))
+                z = cmath.rect(rng.uniform(3.0, 60.0), rng.uniform(-2.5, 2.5))
+            else:
+                alpha = rng.uniform(0.05, 5.0)
+                beta = rng.uniform(0.05, 5.0)
+                z = rng.uniform(2.0, 60.0)
+            term = HypTerm2F0(alpha, beta, z)
+            n = i % 3
+            res = drummond_2f0(term, n)
+            if not res.converged:
+                continue
+            got = drummond_2f0_at_order(term, n, res.order)
+            assert type(got) is type(res.value)
+            assert got == res.value, (alpha, beta, z, n, res.order)
+            checked += 1
+        assert checked >= 400
 
 
 class TestDrummondState:

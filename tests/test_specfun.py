@@ -3,7 +3,7 @@ import math
 import pytest
 from mpmath import mp
 
-from nlspectra import LANCZOS, bessel_j, digamma, gamma, log_gamma_ratio
+from nlspectra.specfun import LANCZOS, bessel_j, digamma, gamma, log_gamma_ratio
 from nlspectra.oracle import (
     oracle_bessel_series,
     oracle_digamma,

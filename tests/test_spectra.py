@@ -3,16 +3,12 @@ import math
 import pytest
 
 from nlspectra import (
-    HYBRID_SWITCH,
     KernelParams,
-    WavenumberKey,
-    achievable_squared_norms,
     apply_to_fourier_coeffs,
     lambda_asymptotic,
     lambda_hybrid,
     lambda_maclaurin,
     lattice_spectrum,
-    stable_prefactor,
 )
 from nlspectra.oracle import (
     oracle_asy_part_a,
@@ -20,7 +16,13 @@ from nlspectra.oracle import (
     oracle_digamma,
     oracle_lambda_maclaurin,
 )
-from nlspectra.spectra import _asy_part_a
+from nlspectra.spectra import (
+    HYBRID_SWITCH,
+    WavenumberKey,
+    _asy_part_a,
+    achievable_squared_norms,
+    stable_prefactor,
+)
 
 
 def rel(got, ref):
