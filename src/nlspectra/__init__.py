@@ -10,9 +10,8 @@ Each eigenvalue is computed independently, to individually controlled
 accuracy, by a convergent series (small k*delta) or a resummed divergent
 asymptotic series (large k*delta).
 
-Hot kernels run in a compiled extension when available; set
-``NLSPECTRA_BACKEND=python`` to force the pure-Python fallback (see
-``nlspectra._backend.BACKEND`` for the active choice).
+The numerical kernels live in ``nlspectra._purepy``, one implementation in
+pure Python; ``BACKEND`` names it (``"python"``).
 
 The names below are the package's public surface; everything else is
 importable from its submodule (``specfun``, ``drummond``, ``spectra``,

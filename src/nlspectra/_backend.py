@@ -1,31 +1,12 @@
-"""Backend selection: compiled extension when available, pure Python otherwise.
+"""The kernel module the public wrappers call.
 
-``NLSPECTRA_BACKEND`` forces a choice (``compiled`` or ``python``); it is an
-environment variable rather than a flag so that worker processes spawned by
-the lattice evaluator inherit the same backend.
+``specfun``, ``drummond`` and ``spectra`` look kernels up as attributes of
+``kernels`` at call time, so wrapping an attribute here (as a tracer does)
+reaches every caller.
 """
 
-from __future__ import annotations
+from . import _purepy as kernels
 
-import os
-
-_forced = os.environ.get("NLSPECTRA_BACKEND", "").strip().lower()
-
-if _forced in ("", "auto"):
-    try:
-        from . import _core as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _purepy as kernels  # type: ignore[no-redef]
-elif _forced in ("compiled", "c", "ext"):
-    from . import _core as kernels  # type: ignore[attr-defined, no-redef]
-elif _forced in ("python", "pure", "py"):
-    from . import _purepy as kernels  # type: ignore[no-redef]
-else:
-    raise ImportError(
-        f"NLSPECTRA_BACKEND={_forced!r} not recognized; "
-        "use 'compiled', 'python', or 'auto'"
-    )
-
-BACKEND: str = kernels.BACKEND_NAME
+BACKEND = "python"
 
 __all__ = ["kernels", "BACKEND"]

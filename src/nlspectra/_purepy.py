@@ -1,16 +1,15 @@
-"""Pure-Python evaluation kernels.
+"""Evaluation kernels: gamma family, Bessel J, the Maclaurin series and the
+Drummond recurrence.
 
-Mirror of the compiled extension ``nlspectra._core``; the backend selector
-picks whichever is available (see ``nlspectra._backend``). Functions here
-assume their arguments were already validated by the public wrappers in
-``specfun``, ``drummond``, and ``spectra``.
+The only implementation of the numerics; the public wrappers in ``specfun``,
+``drummond`` and ``spectra`` reach it through ``nlspectra._backend.kernels``.
+Functions here assume their arguments were already validated by those
+wrappers.
 """
 
 from __future__ import annotations
 
 import math
-
-BACKEND_NAME = "python"
 
 # Lanczos representation of Gamma(z+1) with shift g = 607/128 and the
 # 15-coefficient table computed by Godfrey; roughly 1e-15 relative accuracy

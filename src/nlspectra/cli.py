@@ -84,7 +84,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     res = lambda_hybrid(params, args.k, args.tol)
     m = args.k * args.k
-    if m == int(m):
+    if m < 2.0**53 and m == int(m):
+        # above 2^53 every float is integral, and int() would print false digits
         m = int(m)
     row = _eigen_row(params, m, args.k, res)
     if args.format == "json":

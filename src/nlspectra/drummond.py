@@ -7,8 +7,8 @@ partial sums s_n:
 
 For the hypergeometric-type terms a_k = (alpha)_k (beta)_k / (-z)^k the
 numerators and denominators both satisfy a four-term recurrence in k, which
-the backend kernels advance in O(1) work per order; besides the speedup
-over the O(k^2) finite-difference form (kept as a reference in
+the kernel in ``nlspectra._purepy`` advances in O(1) work per order; besides
+the speedup over the O(k^2) finite-difference form (kept as a reference in
 ``nlspectra.oracle``), the recurrence is what keeps high orders numerically
 stable. Lommel functions of the second kind are evaluated by resumming
 their divergent large-argument expansion.

@@ -1,8 +1,8 @@
 """Gamma-family and Bessel primitives used by the eigenvalue formulas.
 
 All functions are pure and thread-safe. These wrappers validate domains and
-delegate the numerical work to the selected backend; algorithm notes live in
-``nlspectra._purepy``.
+delegate the numerical work to the kernels in ``nlspectra._purepy``, where
+the algorithm notes live.
 
 Supported regimes (what the eigenvalue formulas actually need):
 

@@ -52,6 +52,15 @@ MACLAURIN_TERM_CAP = 4000
 
 LATTICE_KMAX_LIMIT = 4096
 
+#: From this k*delta on the asymptotic form keeps only its gamma-ratio part.
+#: The Bessel/Lommel part decays like (k*delta)^(-(d+3)/2) against it, so it
+#: is below machine epsilon from k*delta ~ 1e20 on. Its resummation fails
+#: from k*delta ~ 4e51 on: the recurrence terms grow like powers of
+#: z = (k*delta)^2/4 and overflow before they can be rescaled.
+ASYMPTOTIC_TAIL_CUTOFF = 2.0**150
+
+_EPS = 2.220446049250313e-16
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -121,9 +130,9 @@ _ZERO_RESULT = EvalResult(0.0, "zero", 0, 0.0)
 def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
     if not isinstance(params, KernelParams):
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
-    if not k_mod >= 0.0:
-        raise ValueError(f"k_mod must be >= 0, got {k_mod}")
-    if not tol >= 2.220446049250313e-16:
+    if not 0.0 <= k_mod < math.inf:
+        raise ValueError(f"k_mod must be finite and >= 0, got {k_mod}")
+    if not tol >= _EPS:
         raise ValueError(f"tol must be >= machine epsilon, got {tol}")
 
 
@@ -198,7 +207,9 @@ def lambda_asymptotic(
     Combines the stabilized gamma-ratio part with a Bessel/Lommel part of
     orders tied to the dimension; the two Lommel factors are resummed
     divergent expansions, so ``terms`` reports the larger resummation order
-    and non-convergence propagates as NonConvergenceError.
+    and non-convergence propagates as NonConvergenceError. From
+    k*delta = ASYMPTOTIC_TAIL_CUTOFF on, the Bessel/Lommel part is below
+    rounding and is skipped (``terms`` = 0).
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
@@ -209,6 +220,11 @@ def lambda_asymptotic(
     kd = k_mod * delta
 
     part_a = _asy_part_a(d, alpha, kd)
+    scale = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha) / (delta * delta)
+    if kd >= ASYMPTOTIC_TAIL_CUTOFF:
+        # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
+        est = 1e-15 + _EPS * abs(alpha - d) * math.log(kd)
+        return EvalResult(scale * part_a, "asymptotic", 0, est)
     s1, o1, e1, c1 = _lommel_with_info(
         LommelOrder(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0)), kd, tol, k_max
     )
@@ -222,13 +238,7 @@ def lambda_asymptotic(
         * kd ** (alpha + 1.0 - d)
         * ((d - 2.0 - alpha) * j1 * s1 - j2 * s2)
     )
-    lam = (
-        2.0
-        * _k.gamma(0.5 * d + 1.0)
-        * (d + 2.0 - alpha)
-        / (delta * delta)
-        * (part_a + part_b)
-    )
+    lam = scale * (part_a + part_b)
     result = EvalResult(lam, "asymptotic", max(o1, o2), max(e1, e2) + 1e-15)
     if not (c1 and c2):
         raise NonConvergenceError(

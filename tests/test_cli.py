@@ -52,6 +52,17 @@ class TestEval:
     def test_negative_k_exits_2(self):
         assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1", "--k", "-1") == 2
 
+    def test_m_beyond_exact_integers_printed_as_float(self, capsys):
+        assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1", "--k", "1e40") == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        assert fields[3] == "1e+80"
+
+    def test_infinite_m_printed(self, capsys):
+        assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1", "--k", "1e200") == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        assert fields[3] == "inf"
+        assert math.isfinite(float(fields[5])) and fields[6] == "asymptotic"
+
     def test_nonconvergence_exits_3(self, monkeypatch, capsys):
         import nlspectra.cli as climod
 

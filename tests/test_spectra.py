@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from mpmath import mp
 
 from nlspectra import (
     KernelParams,
@@ -17,12 +18,15 @@ from nlspectra.oracle import (
     oracle_lambda_maclaurin,
 )
 from nlspectra.spectra import (
+    ASYMPTOTIC_TAIL_CUTOFF,
     HYBRID_SWITCH,
     WavenumberKey,
     _asy_part_a,
     achievable_squared_norms,
     stable_prefactor,
 )
+
+EPS = 2.220446049250313e-16
 
 
 def rel(got, ref):
@@ -147,6 +151,64 @@ class TestLambdaAsymptotic:
     def test_domain_error_at_zero(self):
         with pytest.raises(ValueError):
             lambda_asymptotic(KernelParams(3, 2.0, 1.0), 0.0)
+
+
+# lambda_hybrid(KernelParams(d, alpha, 1), kd).lam by the full formula, Lommel
+# part included; the tail cutoff must leave these bits unchanged
+_FULL_FORM_VALUES = {
+    (1, 0.5, 1e20): "-0x1.3fffffffa9df6p+3",
+    (1, 0.5, 1e40): "-0x1.3ffffffffffffp+3",
+    (1, 2.9, 1e20): "-0x1.4ab7415dc4c1bp+126",
+    (1, 2.9, 1e40): "-0x1.84c12da9b7761p+252",
+    (3, 2.5, 1e20): "-0x1.dffffffefd9ebp+4",
+    (3, 2.5, 1e40): "-0x1.e000000000004p+4",
+    (3, 4.9, 1e20): "-0x1.561ead8d23d6ap+126",
+    (3, 4.9, 1e40): "-0x1.9228f171c6aa1p+252",
+    (10, 9.5, 1e20): "-0x1.8ffffffec1585p+6",
+    (10, 9.5, 1e40): "-0x1.8ffffffffffffp+6",
+    (10, 11.9, 1e20): "-0x1.67dabed0c7d95p+126",
+    (10, 11.9, 1e40): "-0x1.a701c44af082bp+252",
+}
+
+
+def _huge_kdelta_cases():
+    for d in [1, 2, 3, 5, 10]:
+        for alpha in [0.0, d - 0.5, float(d), d + 1.9]:
+            for kd in [1e52, 1e100, 1e150] + ([1e300] if alpha <= d else []):
+                yield d, alpha, kd
+
+
+class TestHugeKdelta:
+    """Beyond the Lommel expansion's range only the gamma-ratio part is left."""
+
+    @pytest.mark.parametrize("d,alpha,kd", list(_huge_kdelta_cases()))
+    def test_gamma_ratio_part_alone(self, d, alpha, kd):
+        res = lambda_hybrid(KernelParams(d, alpha, 1.0), kd)
+        assert res.method == "asymptotic" and res.terms == 0
+        ref = (
+            2 * mp.gamma(mp.mpf(d) / 2 + 1) * (d + 2 - mp.mpf(alpha))
+            * oracle_asy_part_a(d, alpha, kd)
+        )
+        err = rel(res.lam, ref)
+        assert err <= 2e-14 + 8 * EPS * abs(alpha - d) * math.log(kd)
+        assert err <= res.est_rel_err
+
+    def test_huge_horizon_is_finite(self):
+        res = lambda_hybrid(KernelParams(3, 2.0, 1e300), 1.0)
+        assert math.isfinite(res.lam) and res.method == "asymptotic"
+
+    @pytest.mark.parametrize("key", sorted(_FULL_FORM_VALUES))
+    def test_full_form_below_cutoff_unchanged(self, key):
+        d, alpha, kd = key
+        assert kd < ASYMPTOTIC_TAIL_CUTOFF
+        res = lambda_hybrid(KernelParams(d, alpha, 1.0), kd)
+        assert res.terms > 0
+        assert res.lam.hex() == _FULL_FORM_VALUES[key]
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k_mod must be finite and >= 0"):
+            lambda_hybrid(KernelParams(3, 2.0, 1.0), k)
 
 
 class TestLambdaHybrid:
