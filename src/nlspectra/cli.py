@@ -2,8 +2,9 @@
 
 Subcommands: ``eval`` (one eigenvalue), ``table`` (alpha x k*delta sweep),
 ``spectrum`` (lattice eigenvalue table), ``phase`` (resummation approximant
-over a complex grid), ``bench`` (per-call timing). Output is CSV with
-numbers at 17 significant digits, or JSON with ``--format json``.
+over a complex grid). Output is CSV with numbers at 17 significant digits,
+or JSON with ``--format json``. Timing is the benchmark's job
+(``nlbench/run.py --trace 1`` reports per-route and per-kernel times).
 
 Exit codes: 0 success, 2 invalid parameters, 3 non-convergence.
 """
@@ -15,9 +16,7 @@ import json
 import math
 import os
 import sys
-import time
 
-from ._backend import BACKEND
 from .drummond import HypTerm2F0, drummond_2f0_at_order
 from .errors import NonConvergenceError
 from .spectra import (
@@ -127,15 +126,15 @@ def _cmd_table(args) -> int:
     if args.with_oracle:
         from .oracle import oracle_lambda_maclaurin
 
-    want_mac = args.method in ("mac", "both")
-    want_asy = args.method in ("asy", "both")
+    # looked up per call, so a tracer's wrappers on these names are seen
+    route_fns = {"mac": lambda_maclaurin, "asy": lambda_asymptotic, "hybrid": lambda_hybrid}
+    routes = ("mac", "asy") if args.method == "both" else (args.method,)
     header: tuple[str, ...] = ("d", "alpha", "kdelta")
-    if want_mac:
-        header += ("lambda_mac", "terms_mac", "err_mac")
-    if want_asy:
-        header += ("lambda_asy", "terms_asy", "err_asy")
-    if args.method == "hybrid":
-        header += ("lambda", "method", "terms", "err")
+    for route in routes:
+        if route == "hybrid":
+            header += ("lambda", "method", "terms", "err")
+        else:
+            header += (f"lambda_{route}", f"terms_{route}", f"err_{route}")
 
     rows = []
     for alpha in alphas:
@@ -145,18 +144,13 @@ def _cmd_table(args) -> int:
             if args.with_oracle:
                 ref = float(oracle_lambda_maclaurin(params, kd))
             row: tuple = (d, alpha, kd)
-            if want_mac:
-                res = _best_effort(lambda_maclaurin, params, kd, args.tol)
+            for route in routes:
+                res = _best_effort(route_fns[route], params, kd, args.tol)
                 err = "" if ref is None else abs(res.lam - ref) / abs(ref)
-                row += (res.lam, res.terms, err)
-            if want_asy:
-                res = _best_effort(lambda_asymptotic, params, kd, args.tol)
-                err = "" if ref is None else abs(res.lam - ref) / abs(ref)
-                row += (res.lam, res.terms, err)
-            if args.method == "hybrid":
-                res = _best_effort(lambda_hybrid, params, kd, args.tol)
-                err = "" if ref is None else abs(res.lam - ref) / abs(ref)
-                row += (res.lam, res.method, res.terms, err)
+                if route == "hybrid":
+                    row += (res.lam, res.method, res.terms, err)
+                else:
+                    row += (res.lam, res.terms, err)
             rows.append(row)
     _write_rows(args.out, header, rows, args.format)
     return 0
@@ -198,48 +192,6 @@ def _cmd_phase(args) -> int:
                 t = complex(math.nan, math.nan)
             rows.append((re, im, t.real, t.imag))
     _write_rows(args.out, PHASEROW_FIELDS, rows, args.format)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    params = KernelParams(args.d, args.alpha, args.delta)
-    if args.k < 0:
-        raise ValueError(f"--k must be >= 0, got {args.k}")
-    if args.reps < 1:
-        raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    k = args.k
-    res = lambda_hybrid(params, k)
-    for _ in range(min(args.reps, 1000)):
-        lambda_hybrid(params, k)
-    reps = args.reps
-    nchunks = min(reps, 64)
-    base, extra = divmod(reps, nchunks)
-    total = 0
-    best = math.inf
-    for i in range(nchunks):
-        count = base + (1 if i < extra else 0)
-        t0 = time.perf_counter_ns()
-        for _ in range(count):
-            lambda_hybrid(params, k)
-        dt = time.perf_counter_ns() - t0
-        total += dt
-        if count and dt / count < best:
-            best = dt / count
-    print(
-        json.dumps(
-            {
-                "d": params.d,
-                "alpha": params.alpha,
-                "delta": params.delta,
-                "k": k,
-                "method": res.method,
-                "reps": reps,
-                "mean_ns": total / reps,
-                "min_ns": best,
-                "backend": BACKEND,
-            }
-        )
-    )
     return 0
 
 
@@ -299,14 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_phase)
-
-    p = sub.add_parser("bench", help="per-call timing of the hybrid evaluation")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -16,6 +16,7 @@ their divergent large-argument expansion.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -60,16 +61,6 @@ class HypTerm2F0:
     alpha: complex
     beta: complex
     z: complex
-
-    def term_ratio(self, k: int) -> Scalar:
-        """a_{k+1} / a_k = -(alpha+k)(beta+k)/z."""
-        return -(self.alpha + k) * (self.beta + k) / self.z
-
-    def term(self, k: int) -> Scalar:
-        a: Scalar = 1.0
-        for j in range(k):
-            a = a * (self.alpha + j) * (self.beta + j) / (-self.z)
-        return a
 
     def terms(self, count: int) -> list[Scalar]:
         """[a_0, ..., a_{count-1}]."""
@@ -119,40 +110,33 @@ class LommelOrder:
         )
 
 
-def _terminating_sum(term: HypTerm2F0, m: int) -> Scalar:
-    a: Scalar = 1.0
-    s: Scalar = 1.0
-    for j in range(m):
-        a = a * (term.alpha + j) * (term.beta + j) / (-term.z)
-        s = s + a
-    if term.is_real():
-        return s.real if isinstance(s, complex) else s
-    return s
-
-
 def _kernel_args(
     term: HypTerm2F0, n: int, order: int | None
-) -> tuple[int | None, tuple[Scalar, Scalar, Scalar] | None]:
-    """Validate (term, n) and screen for termination.
+) -> tuple[tuple[Scalar, Scalar, Scalar], int | None]:
+    """Validate (term, n), coerce the kernel arguments and screen for
+    termination.
 
-    Returns (m, None) when the wanted approximant is the terminal partial
-    sum s_m: with alpha or beta = -m the weights a_{n+1}..a_{n+order+1}
-    contain a vanishing term once n + order >= m (``order=None``: at any
-    order). Otherwise returns (m, args) with the kernel arguments
-    (alpha, beta, z), all float when the parameters are real and all
-    complex when not.
+    Returns (args, m). ``args`` is (alpha, beta, z), all float when the
+    parameters are real and all complex when not. ``m`` is set when the
+    wanted approximant is the terminal partial sum s_m: with alpha or
+    beta = -m the weights a_{n+1}..a_{n+order+1} contain a vanishing term
+    once n + order >= m (``order=None``: at any order). Otherwise it is None.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if term.z == 0:
+    alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
+    if z == 0:
         raise ValueError("z = 0: the series has no meaningful resummation")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {term.z}")
+    if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
+        args = (alpha.real, beta.real, z.real)
+    else:
+        args = (alpha, beta, z)
     m = term.termination_index()
     if m is not None and (order is None or n + order >= m):
-        return m, None
-    alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
-    if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
-        return m, (alpha.real, beta.real, z.real)
-    return m, (alpha, beta, z)
+        return args, m
+    return args, None
 
 
 def drummond_2f0(
@@ -172,9 +156,9 @@ def drummond_2f0(
         raise ValueError(f"tol must be >= machine epsilon, got {tol}")
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    m, args = _kernel_args(term, n, None)
-    if args is None:
-        return TransformResult(_terminating_sum(term, m), m + 1, True, 0.0)
+    args, m = _kernel_args(term, n, None)
+    if m is not None:
+        return TransformResult(_k.drummond_2f0_fixed(*args, m, 0), m + 1, True, 0.0)
     value, order, converged, est = _k.drummond_2f0(*args, n, tol, k_max)
     return TransformResult(value, order, bool(converged), est)
 
@@ -183,37 +167,33 @@ def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
     """T_n^(order) with no early exit; NaN where the approximant has a pole."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    m, args = _kernel_args(term, n, order)
-    if args is None:
-        return _terminating_sum(term, m)
+    args, m = _kernel_args(term, n, order)
+    if m is not None:
+        # the terminal partial sum s_m is the kernel's prelude alone
+        n, order = m, 0
     return _k.drummond_2f0_fixed(*args, n, order)
 
 
 def _lommel_with_info(
-    order: LommelOrder, x: float, tol: float, k_max: int
+    order: LommelOrder, x: float, tol: float
 ) -> tuple[float, int, float, bool]:
     """(S_{mu,nu}(x), resummation order, est_rel_err, converged)."""
     term = order.hyp_term(x)
-    res = drummond_2f0(term, 0, tol, k_max)
+    res = drummond_2f0(term, 0, tol)
     value = res.value.real if isinstance(res.value, complex) else res.value
     return x ** (order.mu - 1.0) * value, res.order, res.est_rel_err, res.converged
 
 
-def lommel_s(
-    order: LommelOrder,
-    x: float,
-    tol: float = DEFAULT_TOL,
-    k_max: int = DEFAULT_KMAX,
-) -> float:
+def lommel_s(order: LommelOrder, x: float, tol: float = DEFAULT_TOL) -> float:
     """Lommel function S_{mu,nu}(x) by resummation of its divergent expansion.
 
     Reliable for x of a few and beyond (the eigenvalue formulas call it
     with x >= 6); raises NonConvergenceError when the resummation cannot
-    reach ``tol`` within ``k_max`` orders.
+    reach ``tol`` within ``DEFAULT_KMAX`` orders.
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
-    value, order_used, est, converged = _lommel_with_info(order, x, tol, k_max)
+    value, order_used, est, converged = _lommel_with_info(order, x, tol)
     if not converged:
         raise NonConvergenceError(
             f"Lommel S resummation stalled at order {order_used} "

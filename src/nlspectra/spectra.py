@@ -18,12 +18,15 @@ independent of all others, so lattice sweeps parallelize trivially.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_KMAX, DEFAULT_TOL, LommelOrder, _lommel_with_info
+from .drummond import DEFAULT_TOL, LommelOrder, _lommel_with_info
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -31,7 +34,6 @@ __all__ = [
     "HYBRID_SWITCH",
     "MACLAURIN_TERM_CAP",
     "KernelParams",
-    "WavenumberKey",
     "EvalResult",
     "SpectrumTable",
     "lambda_maclaurin",
@@ -88,24 +90,6 @@ class KernelParams:
 
 
 @dataclass(frozen=True)
-class WavenumberKey:
-    """Squared lattice norm m = |k|^2 and its root; lambda depends on k only
-    through m."""
-
-    m: int
-    k_mod: float
-
-    @classmethod
-    def from_m(cls, m: int) -> "WavenumberKey":
-        return cls(m, math.sqrt(m))
-
-    @classmethod
-    def from_vector(cls, k: Iterable[int]) -> "WavenumberKey":
-        m = sum(int(c) * int(c) for c in k)
-        return cls.from_m(m)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """One eigenvalue: value, which route produced it, and its cost/accuracy."""
 
@@ -149,9 +133,16 @@ def lambda_maclaurin(
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
         return _ZERO_RESULT
-    value, terms, converged, est = _k.maclaurin_lambda(
-        params.d, params.alpha, k_mod, params.delta, tol, MACLAURIN_TERM_CAP
-    )
+    try:
+        value, terms, converged, est = _k.maclaurin_lambda(
+            params.d, params.alpha, k_mod, params.delta, tol, MACLAURIN_TERM_CAP
+        )
+    except OverflowError:
+        raise NonConvergenceError(
+            f"series cannot start at k*delta={k_mod * params.delta:g}: "
+            "(k*delta)^2 exceeds the double range",
+            result=EvalResult(math.nan, "maclaurin", 0, math.inf),
+        ) from None
     result = EvalResult(value, "maclaurin", terms, est)
     if not converged:
         raise NonConvergenceError(
@@ -196,11 +187,43 @@ def _asy_part_a(d: int, alpha: float, kd: float) -> float:
     return _k.stable_prefactor(0.5 * (d - alpha), 2.0 / kd, 0.5 * d) / ghalf
 
 
+def _huge_gamma_part_in_logs(
+    d: int, alpha: float, delta: float, kd: float
+) -> tuple[float, float]:
+    """(lambda, est_rel_err) from the gamma-ratio part alone, for alpha > d
+    where exp(t) = (kd/2)^(alpha-d) Gamma(x+1) Gamma(d/2) / Gamma(d/2-x),
+    x = (d-alpha)/2, leaves the double range.
+
+    Then lambda = scale * (exp(t) - 1) / (x Gamma(d/2)), and the -1 is far
+    below rounding. With 2 Gamma(d/2+1) / Gamma(d/2) = d, the prefactor is
+    d (d+2-alpha) / (-x delta^2) and joins the exponent as a logarithm.
+    """
+    x = 0.5 * (d - alpha)
+    t = (
+        2.0 * x * math.log(2.0 / kd)
+        + _k.log_gamma_ratio(0.0, x)
+        - _k.log_gamma_ratio(0.5 * d - 1.0, -x)
+    )
+    log_scale = math.log(d * (d + 2.0 - alpha) / -x) - 2.0 * math.log(delta)
+    log_lam = t + log_scale
+    try:
+        lam = -math.exp(log_lam)
+    except OverflowError:
+        raise _beyond_double_range(d, alpha, delta, kd) from None
+    # the exponential turns the rounding of each logarithm into relative error
+    est = 1e-15 + _EPS * (abs(t) + abs(log_scale) + abs(log_lam))
+    return lam, est
+
+
+def _beyond_double_range(d: int, alpha: float, delta: float, kd: float) -> ValueError:
+    return ValueError(
+        f"|lambda| exceeds the double range at d={d}, alpha={alpha}, "
+        f"delta={delta:g}, k*delta={kd:g}"
+    )
+
+
 def lambda_asymptotic(
-    params: KernelParams,
-    k_mod: float,
-    tol: float = DEFAULT_TOL,
-    k_max: int = DEFAULT_KMAX,
+    params: KernelParams, k_mod: float, tol: float = DEFAULT_TOL
 ) -> EvalResult:
     """Eigenvalue by the large-k*delta closed form.
 
@@ -219,17 +242,26 @@ def lambda_asymptotic(
     delta = params.delta
     kd = k_mod * delta
 
-    part_a = _asy_part_a(d, alpha, kd)
+    try:
+        part_a = _asy_part_a(d, alpha, kd)
+    except OverflowError:
+        # alpha > d and (kd/2)^(alpha-d) left the double range; that needs
+        # kd far beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
+        lam, est = _huge_gamma_part_in_logs(d, alpha, delta, kd)
+        return EvalResult(lam, "asymptotic", 0, est)
     scale = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha) / (delta * delta)
     if kd >= ASYMPTOTIC_TAIL_CUTOFF:
         # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
         est = 1e-15 + _EPS * abs(alpha - d) * math.log(kd)
-        return EvalResult(scale * part_a, "asymptotic", 0, est)
+        lam = scale * part_a
+        if math.isinf(lam):
+            raise _beyond_double_range(d, alpha, delta, kd)
+        return EvalResult(lam, "asymptotic", 0, est)
     s1, o1, e1, c1 = _lommel_with_info(
-        LommelOrder(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0)), kd, tol, k_max
+        LommelOrder(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0)), kd, tol
     )
     s2, o2, e2, c2 = _lommel_with_info(
-        LommelOrder(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0)), kd, tol, k_max
+        LommelOrder(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0)), kd, tol
     )
     j1 = _k.bessel_j(d - 2, kd)
     j2 = _k.bessel_j(d - 4, kd)
@@ -297,9 +329,8 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     return out
 
 
-def _lattice_worker(payload):
-    params, tol, m = payload
-    return m, lambda_hybrid(params, math.sqrt(m), tol)
+def _lattice_worker(params: KernelParams, tol: float, m: int) -> EvalResult:
+    return lambda_hybrid(params, math.sqrt(m), tol)
 
 
 def lattice_spectrum(
@@ -320,33 +351,25 @@ def lattice_spectrum(
     if not 0 <= kmax <= LATTICE_KMAX_LIMIT:
         raise ValueError(f"kmax must be in [0, {LATTICE_KMAX_LIMIT}], got {kmax}")
     ms = achievable_squared_norms(params.d, kmax)
-    entries: dict[int, EvalResult] = {}
+    pool = contextlib.nullcontext()
+    mapper = map
     if jobs > 1 and len(ms) > 1:
         # imported on first use: it adds about 20 ms to every package import
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [(params, tol, m) for m in ms]
-        chunk = max(1, len(ms) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_lattice_worker, payloads, chunksize=chunk)
-            current = None
-            try:
-                for current in ms:
-                    m, res = next(results)
-                    entries[m] = res
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(
-                    f"lattice evaluation failed near m={current}: {exc}",
-                    result=exc.result,
-                ) from exc
-    else:
-        for m in ms:
-            try:
-                entries[m] = lambda_hybrid(params, math.sqrt(m), tol)
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(
-                    f"lattice evaluation failed at m={m}: {exc}", result=exc.result
-                ) from exc
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        mapper = functools.partial(pool.map, chunksize=max(1, len(ms) // (jobs * 8)))
+    entries: dict[int, EvalResult] = {}
+    with pool:
+        # results arrive in the order of ms, whichever mapper runs them
+        results = mapper(_lattice_worker, itertools.repeat(params), itertools.repeat(tol), ms)
+        try:
+            for m in ms:
+                entries[m] = next(results)
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                f"lattice evaluation failed at m={m}: {exc}", result=exc.result
+            ) from exc
     return SpectrumTable(params=params, kmax=kmax, entries=entries)
 
 
@@ -370,8 +393,9 @@ def apply_to_fourier_coeffs(
             raise ValueError(f"wavevector {kvec!r} does not have d={params.d} entries")
         if any(abs(c) > LATTICE_KMAX_LIMIT for c in kt):
             raise ValueError(f"wavevector {kvec!r} exceeds |k|_inf <= {LATTICE_KMAX_LIMIT}")
-        key = WavenumberKey.from_vector(kt)
-        if key.m not in cache:
-            cache[key.m] = lambda_hybrid(params, key.k_mod, tol).lam
-        out[kt] = amp * cache[key.m]
+        m = sum(c * c for c in kt)
+        lam = cache.get(m)
+        if lam is None:
+            lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
+        out[kt] = amp * lam
     return out

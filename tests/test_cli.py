@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from nlspectra import NonConvergenceError
-from nlspectra.cli import main
+from nlspectra.cli import _build_parser, main
 from nlspectra.oracle import oracle_closed_form_d1_a0, oracle_drummond_bigfloat
 from nlspectra import HypTerm2F0
 
@@ -62,6 +65,16 @@ class TestEval:
         fields = capsys.readouterr().out.strip().split(",")
         assert fields[3] == "inf"
         assert math.isfinite(float(fields[5])) and fields[6] == "asymptotic"
+
+    def test_alpha_above_d_huge_horizon(self, capsys):
+        assert run("eval", "--d", "1", "--alpha", "2.9", "--delta", "1e200", "--k", "1") == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        lam = float(fields[5])
+        assert abs(lam + 1.098991886799671e-20) <= 1e-12 * 1.098991886799671e-20
+
+    def test_lambda_beyond_double_range_exits_2(self, capsys):
+        assert run("eval", "--d", "1", "--alpha", "2.9", "--delta", "1", "--k", "1e300") == 2
+        assert "exceeds the double range" in capsys.readouterr().err
 
     def test_nonconvergence_exits_3(self, monkeypatch, capsys):
         import nlspectra.cli as climod
@@ -130,6 +143,36 @@ class TestTable:
                 "--alpha-steps", "2", "--kdelta-min", "1", "--kdelta-max", "2",
                 "--kdelta-steps", "2", "--out", str(out)) == 2
         )
+
+    @pytest.mark.parametrize("method,columns", [
+        ("mac", ["lambda_mac", "terms_mac", "err_mac"]),
+        ("asy", ["lambda_asy", "terms_asy", "err_asy"]),
+        ("both", ["lambda_mac", "terms_mac", "err_mac", "lambda_asy", "terms_asy", "err_asy"]),
+        ("hybrid", ["lambda", "method", "terms", "err"]),
+    ])
+    def test_columns_per_method(self, tmp_path, method, columns):
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "2", "--alpha-min", "1", "--alpha-max", "1",
+                "--alpha-steps", "1", "--kdelta-min", "3", "--kdelta-max", "8",
+                "--kdelta-steps", "2", "--method", method, "--out", str(out)) == 0
+        )
+        header, rows = read_csv(out)
+        assert header == ["d", "alpha", "kdelta"] + columns
+        assert all(len(row) == len(header) for row in rows)
+        if method == "hybrid":
+            assert [row["method"] for row in rows] == ["maclaurin", "asymptotic"]
+
+    def test_maclaurin_overflow_cell(self, tmp_path):
+        # (k*delta)^2 overflows: a best-effort NaN cell, not a traceback
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "3", "--alpha-min", "2", "--alpha-max", "2",
+                "--alpha-steps", "1", "--kdelta-min", "1e200", "--kdelta-max", "1e200",
+                "--kdelta-steps", "1", "--method", "mac", "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert rows[0]["lambda_mac"] == "nan"
 
     def test_unwritable_out_exits_2(self, tmp_path):
         out = tmp_path / "nope" / "t.csv"
@@ -259,30 +302,6 @@ class TestPhase:
         )
 
 
-class TestBench:
-    def test_single_rep(self, capsys):
-        assert run("bench", "--d", "3", "--alpha", "2", "--delta", "1",
-                   "--k", "6", "--reps", "1") == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["method"] == "asymptotic"
-        assert rec["mean_ns"] > 0
-
-    def test_zero_mode_is_cheapest(self, capsys):
-        assert run("bench", "--d", "3", "--alpha", "2", "--delta", "1",
-                   "--k", "0", "--reps", "2000") == 0
-        zero = json.loads(capsys.readouterr().out)
-        assert zero["method"] == "zero"
-        assert run("bench", "--d", "3", "--alpha", "2", "--delta", "1",
-                   "--k", "3", "--reps", "2000") == 0
-        mac = json.loads(capsys.readouterr().out)
-        assert mac["method"] == "maclaurin"
-        assert zero["mean_ns"] < mac["mean_ns"]
-
-    def test_bad_reps_exits_2(self):
-        assert run("bench", "--d", "3", "--alpha", "2", "--delta", "1",
-                   "--k", "1", "--reps", "0") == 2
-
-
 def test_cli_import_loads_no_oracle_or_pool():
     # mpmath (the oracles) and the process pool load only when a command needs them
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -298,3 +317,33 @@ def test_cli_import_loads_no_oracle_or_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == ""
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_commands():
+    """Every ``nlspectra <sub> ...`` line in the README's code blocks, as argv."""
+    with open(README) as fh:
+        text = fh.read()
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("nlspectra "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_parses(argv):
+    # parsed only, never run
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: nlspectra {shlex.join(argv)}")
+
+
+def test_readme_documents_every_subcommand():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in _readme_commands()} == set(sub.choices)

