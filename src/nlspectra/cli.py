@@ -162,10 +162,7 @@ def _cmd_spectrum(args) -> int:
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     table = lattice_spectrum(params, args.kmax, args.tol, jobs=jobs)
-    rows = [
-        _eigen_row(params, m, math.sqrt(m), table.entries[m])
-        for m in sorted(table.entries)
-    ]
+    rows = [_eigen_row(params, m, math.sqrt(m), res) for m, res in table.entries.items()]
     _write_rows(args.out, EIGENROW_FIELDS, rows, args.format)
     return 0
 

@@ -10,13 +10,15 @@ numerators and denominators both satisfy a four-term recurrence in k, which
 the kernel in ``nlspectra._purepy`` advances in O(1) work per order; besides
 the speedup over the O(k^2) finite-difference form (kept as a reference in
 ``nlspectra.oracle``), the recurrence is what keeps high orders numerically
-stable. Lommel functions of the second kind are evaluated by resumming
-their divergent large-argument expansion.
+stable. A series with alpha or beta a nonpositive integer -m terminates
+and is summed exactly. Lommel functions of the second kind,
+``lommel_s(mu, nu, x)`` with the orders as plain floats, are evaluated by
+resumming their divergent large-argument expansion.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -29,7 +31,6 @@ __all__ = [
     "DEFAULT_KMAX",
     "HypTerm2F0",
     "TransformResult",
-    "LommelOrder",
     "drummond_2f0",
     "drummond_2f0_at_order",
     "lommel_s",
@@ -41,17 +42,6 @@ Scalar = Union[float, complex]
 DEFAULT_TOL = 10.0 * sys.float_info.epsilon
 #: Order cap; convergence typically needs a few tens of orders.
 DEFAULT_KMAX = 500
-
-
-def _nonpositive_int(value: Scalar) -> int | None:
-    """-value if value is exactly a nonpositive integer, else None."""
-    c = complex(value)
-    if c.imag != 0.0:
-        return None
-    r = c.real
-    if r > 0.0 or r != int(r):
-        return None
-    return -int(r)
 
 
 @dataclass(frozen=True)
@@ -71,15 +61,6 @@ class HypTerm2F0:
             out.append(a)
         return out
 
-    def termination_index(self) -> int | None:
-        """m such that a_k = 0 for all k > m, or None if non-terminating."""
-        best = None
-        for p in (self.alpha, self.beta):
-            m = _nonpositive_int(p)
-            if m is not None and (best is None or m < best):
-                best = m
-        return best
-
     def is_real(self) -> bool:
         return all(complex(p).imag == 0.0 for p in (self.alpha, self.beta, self.z))
 
@@ -92,22 +73,6 @@ class TransformResult:
     order: int
     converged: bool
     est_rel_err: float
-
-
-@dataclass(frozen=True)
-class LommelOrder:
-    """Order pair (mu, nu) of the Lommel function S_{mu,nu}."""
-
-    mu: float
-    nu: float
-
-    def hyp_term(self, x: float) -> HypTerm2F0:
-        """Terms of the large-argument expansion of S_{mu,nu}(x)/x^(mu-1)."""
-        return HypTerm2F0(
-            alpha=0.5 * (1.0 - self.mu + self.nu),
-            beta=0.5 * (1.0 - self.mu - self.nu),
-            z=0.25 * x * x,
-        )
 
 
 def _kernel_args(
@@ -127,13 +92,20 @@ def _kernel_args(
     alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
     if z == 0:
         raise ValueError("z = 0: the series has no meaningful resummation")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {term.z}")
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {term.alpha}, {term.beta}")
     if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
         args = (alpha.real, beta.real, z.real)
     else:
         args = (alpha, beta, z)
-    m = term.termination_index()
+    # a_k = 0 for all k > m when alpha or beta is the nonpositive integer -m
+    m = None
+    for p in (alpha, beta):
+        if p.imag == 0.0 and p.real <= 0.0 and p.real.is_integer():
+            if m is None or -p.real < m:
+                m = -int(p.real)
     if m is not None and (order is None or n + order >= m):
         return args, m
     return args, None
@@ -174,30 +146,32 @@ def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
     return _k.drummond_2f0_fixed(*args, n, order)
 
 
-def _lommel_with_info(
-    order: LommelOrder, x: float, tol: float
-) -> tuple[float, int, float, bool]:
-    """(S_{mu,nu}(x), resummation order, est_rel_err, converged)."""
-    term = order.hyp_term(x)
-    res = drummond_2f0(term, 0, tol)
+def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
+    """Resummation of S_{mu,nu}(x) ~ x^(mu-1) sum_k (a)_k (b)_k / (-z)^k,
+    a = (1-mu+nu)/2, b = (1-mu-nu)/2, z = x^2/4; its ``value`` is S itself.
+    """
+    res = drummond_2f0(
+        HypTerm2F0(0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x), 0, tol
+    )
     value = res.value.real if isinstance(res.value, complex) else res.value
-    return x ** (order.mu - 1.0) * value, res.order, res.est_rel_err, res.converged
+    res.value = x ** (mu - 1.0) * value
+    return res
 
 
-def lommel_s(order: LommelOrder, x: float, tol: float = DEFAULT_TOL) -> float:
+def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """Lommel function S_{mu,nu}(x) by resummation of its divergent expansion.
 
     Reliable for x of a few and beyond (the eigenvalue formulas call it
-    with x >= 6); raises NonConvergenceError when the resummation cannot
-    reach ``tol`` within ``DEFAULT_KMAX`` orders.
+    with x >= 6); raises NonConvergenceError, carrying the TransformResult,
+    when the resummation cannot reach ``tol`` within ``DEFAULT_KMAX`` orders.
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
-    value, order_used, est, converged = _lommel_with_info(order, x, tol)
-    if not converged:
+    res = _lommel(mu, nu, x, tol)
+    if not res.converged:
         raise NonConvergenceError(
-            f"Lommel S resummation stalled at order {order_used} "
-            f"(mu={order.mu}, nu={order.nu}, x={x}, est {est:.2e})",
-            result=TransformResult(value, order_used, False, est),
+            f"Lommel S resummation stalled at order {res.order} "
+            f"(mu={mu}, nu={nu}, x={x}, est {res.est_rel_err:.2e})",
+            result=res,
         )
-    return value
+    return res.value

@@ -2,7 +2,8 @@
 
 All functions are pure and thread-safe. These wrappers validate domains and
 delegate the numerical work to the kernels in ``nlspectra._purepy``, where
-the algorithm notes live.
+the algorithm notes live, along with the Lanczos constants ``LANCZOS_G`` and
+``LANCZOS_C`` behind ``gamma`` and ``log_gamma_ratio``.
 
 Supported regimes (what the eigenvalue formulas actually need):
 
@@ -22,30 +23,14 @@ Supported regimes (what the eigenvalue formulas actually need):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import kernels as _k
 
 __all__ = [
-    "LanczosTable",
-    "LANCZOS",
     "gamma",
     "log_gamma_ratio",
     "digamma",
     "bessel_j",
 ]
-
-
-@dataclass(frozen=True)
-class LanczosTable:
-    """Shift constant and coefficients of the Lanczos form of Gamma(z+1)."""
-
-    gamma_shift: float
-    coeffs: tuple[float, ...]
-
-
-#: Godfrey's 15-term tabulation with shift 607/128.
-LANCZOS = LanczosTable(gamma_shift=_k.LANCZOS_G, coeffs=tuple(_k.LANCZOS_C))
 
 
 def gamma(x: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_TOL, LommelOrder, _lommel_with_info
+from .drummond import DEFAULT_TOL, _lommel
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -62,6 +62,8 @@ LATTICE_KMAX_LIMIT = 4096
 ASYMPTOTIC_TAIL_CUTOFF = 2.0**150
 
 _EPS = 2.220446049250313e-16
+#: Smallest normal double.
+_TINY = 2.2250738585072014e-308
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,10 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Eigenvalues over all achievable squared norms of a lattice block."""
+    """Eigenvalues over all achievable squared norms of a lattice block.
+
+    ``entries`` maps each m = |k|^2 to its eigenvalue, in ascending m.
+    """
 
     params: KernelParams
     kmax: int
@@ -222,6 +227,21 @@ def _beyond_double_range(d: int, alpha: float, delta: float, kd: float) -> Value
     )
 
 
+def _over_delta_squared(
+    c: float, part: float, d: int, alpha: float, delta: float, kd: float
+) -> float:
+    """c * part / delta^2, or ValueError where that leaves the double range."""
+    dd = delta * delta
+    if _TINY <= dd < math.inf:
+        lam = c / dd * part
+    else:
+        # delta^2 alone leaves the double range, lambda need not
+        lam = c * part / delta / delta
+    if math.isinf(lam):
+        raise _beyond_double_range(d, alpha, delta, kd)
+    return lam
+
+
 def lambda_asymptotic(
     params: KernelParams, k_mod: float, tol: float = DEFAULT_TOL
 ) -> EvalResult:
@@ -232,7 +252,8 @@ def lambda_asymptotic(
     divergent expansions, so ``terms`` reports the larger resummation order
     and non-convergence propagates as NonConvergenceError. From
     k*delta = ASYMPTOTIC_TAIL_CUTOFF on, the Bessel/Lommel part is below
-    rounding and is skipped (``terms`` = 0).
+    rounding and is skipped (``terms`` = 0). Where k*delta or lambda leaves
+    the double range, ValueError says so.
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
@@ -241,6 +262,10 @@ def lambda_asymptotic(
     alpha = params.alpha
     delta = params.delta
     kd = k_mod * delta
+    if kd == math.inf:
+        raise ValueError(
+            f"k*delta overflows the double range: k={k_mod:g}, delta={delta:g}"
+        )
 
     try:
         part_a = _asy_part_a(d, alpha, kd)
@@ -249,30 +274,26 @@ def lambda_asymptotic(
         # kd far beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
         lam, est = _huge_gamma_part_in_logs(d, alpha, delta, kd)
         return EvalResult(lam, "asymptotic", 0, est)
-    scale = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha) / (delta * delta)
+    c = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
     if kd >= ASYMPTOTIC_TAIL_CUTOFF:
         # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
         est = 1e-15 + _EPS * abs(alpha - d) * math.log(kd)
-        lam = scale * part_a
-        if math.isinf(lam):
-            raise _beyond_double_range(d, alpha, delta, kd)
+        lam = _over_delta_squared(c, part_a, d, alpha, delta, kd)
         return EvalResult(lam, "asymptotic", 0, est)
-    s1, o1, e1, c1 = _lommel_with_info(
-        LommelOrder(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0)), kd, tol
-    )
-    s2, o2, e2, c2 = _lommel_with_info(
-        LommelOrder(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0)), kd, tol
-    )
+    s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
+    s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
     j1 = _k.bessel_j(d - 2, kd)
     j2 = _k.bessel_j(d - 4, kd)
     part_b = (
         2.0 ** (0.5 * d)
         * kd ** (alpha + 1.0 - d)
-        * ((d - 2.0 - alpha) * j1 * s1 - j2 * s2)
+        * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
     )
-    lam = scale * (part_a + part_b)
-    result = EvalResult(lam, "asymptotic", max(o1, o2), max(e1, e2) + 1e-15)
-    if not (c1 and c2):
+    lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
+    result = EvalResult(
+        lam, "asymptotic", max(s1.order, s2.order), max(s1.est_rel_err, s2.est_rel_err) + 1e-15
+    )
+    if not (s1.converged and s2.converged):
         raise NonConvergenceError(
             f"Lommel resummation stalled at k*delta={kd:g} "
             f"(est {result.est_rel_err:.2e})",
@@ -329,10 +350,6 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     return out
 
 
-def _lattice_worker(params: KernelParams, tol: float, m: int) -> EvalResult:
-    return lambda_hybrid(params, math.sqrt(m), tol)
-
-
 def lattice_spectrum(
     params: KernelParams,
     kmax: int,
@@ -362,7 +379,9 @@ def lattice_spectrum(
     entries: dict[int, EvalResult] = {}
     with pool:
         # results arrive in the order of ms, whichever mapper runs them
-        results = mapper(_lattice_worker, itertools.repeat(params), itertools.repeat(tol), ms)
+        results = mapper(
+            lambda_hybrid, itertools.repeat(params), map(math.sqrt, ms), itertools.repeat(tol)
+        )
         try:
             for m in ms:
                 entries[m] = next(results)

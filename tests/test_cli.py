@@ -76,6 +76,10 @@ class TestEval:
         assert run("eval", "--d", "1", "--alpha", "2.9", "--delta", "1", "--k", "1e300") == 2
         assert "exceeds the double range" in capsys.readouterr().err
 
+    def test_kdelta_overflow_exits_2(self, capsys):
+        assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1e10", "--k", "1e300") == 2
+        assert "k*delta overflows the double range" in capsys.readouterr().err
+
     def test_nonconvergence_exits_3(self, monkeypatch, capsys):
         import nlspectra.cli as climod
 
@@ -292,6 +296,17 @@ class TestPhase:
             z = complex(float(row["re_z"]), float(row["im_z"]))
             got = complex(float(row["re_T"]), float(row["im_T"]))
             assert abs(got - 1 / z) <= 1e-15 * abs(1 / z)
+
+    def test_infinite_alpha_gives_nan_rows(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert (
+            run("phase", "--alpha=-inf", "--beta", "1", "--order", "10",
+                "--re-min", "1", "--re-max", "2", "--im-min", "0", "--im-max", "1",
+                "--nx", "2", "--ny", "2", "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        assert all(math.isnan(float(r["re_T"])) and math.isnan(float(r["im_T"])) for r in rows)
 
     def test_order_guard_exits_2(self, tmp_path):
         out = tmp_path / "p.csv"

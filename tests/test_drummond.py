@@ -9,7 +9,6 @@ from mpmath import mp
 from nlspectra import NonConvergenceError
 from nlspectra.drummond import (
     HypTerm2F0,
-    LommelOrder,
     drummond_2f0,
     drummond_2f0_at_order,
     lommel_s,
@@ -30,13 +29,6 @@ def rel(got, ref):
     if ref == 0:
         return abs(complex(got) - ref)
     return abs((complex(got) - ref) / ref)
-
-
-class TestHypTerm:
-    def test_termination_index(self):
-        assert HypTerm2F0(-3.0, 1.0, 2.0).termination_index() == 3
-        assert HypTerm2F0(1.0, 0.0, 2.0).termination_index() == 0
-        assert HypTerm2F0(1.0, 2.0, 2.0).termination_index() is None
 
 
 class TestDrummondGeneric:
@@ -236,29 +228,29 @@ class TestDenominatorSignProperty:
 class TestLommel:
     def test_terminating_power(self):
         # mu = nu + 1 terminates at the first term: S = x^nu
-        assert rel(lommel_s(LommelOrder(1.5, 0.5), 4.0), 2.0) <= 1e-14
+        assert rel(lommel_s(1.5, 0.5, 4.0), 2.0) <= 1e-14
 
     def test_against_oracle_resummation(self):
-        got = lommel_s(LommelOrder(-0.5, 0.5), 10.0)
+        got = lommel_s(-0.5, 0.5, 10.0)
         assert rel(got, float(oracle_lommel(-0.5, 0.5, 10.0))) <= 1e-12
 
     def test_confluent_parameter_case(self):
         # induced expansion parameters are alpha' = beta' = 1 here
-        got = lommel_s(LommelOrder(-1.0, 0.0), 8.0)
+        got = lommel_s(-1.0, 0.0, 8.0)
         assert rel(got, float(oracle_lommel(-1.0, 0.0, 8.0))) <= 1e-12
 
     def test_nonconvergence_propagates(self):
         with pytest.raises(NonConvergenceError) as err:
-            lommel_s(LommelOrder(-0.5, 0.5), 0.5)
+            lommel_s(-0.5, 0.5, 0.5)
         assert err.value.result is not None
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            lommel_s(LommelOrder(-0.5, 0.5), -1.0)
+            lommel_s(-0.5, 0.5, -1.0)
 
 
 class TestNonFiniteArgument:
-    """z = inf or nan has no resummation; every entry point says so."""
+    """A non-finite z, alpha or beta has no resummation; every entry point says so."""
 
     @pytest.mark.parametrize("z", [math.inf, math.nan, complex(math.inf, 1.0)])
     def test_drummond_entry_points(self, z):
@@ -272,7 +264,20 @@ class TestNonFiniteArgument:
     def test_lommel_s(self, x):
         # z = x^2 / 4
         with pytest.raises(ValueError, match="z must be finite"):
-            lommel_s(LommelOrder(-1.5, -0.5), x)
+            lommel_s(-1.5, -0.5, x)
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters(self, p):
+        for term in (HypTerm2F0(p, 1.0, 2.0), HypTerm2F0(1.0, p, 2.0)):
+            with pytest.raises(ValueError, match="alpha and beta must be finite"):
+                drummond_2f0(term)
+            with pytest.raises(ValueError, match="alpha and beta must be finite"):
+                drummond_2f0_at_order(term, 0, 10)
+
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+    def test_lommel_s_non_finite_order(self, mu):
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            lommel_s(mu, 0.5, 10.0)
 
 
 class TestReferenceAntilimit:

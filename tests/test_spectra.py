@@ -250,6 +250,30 @@ class TestHugeKdelta:
             lambda_hybrid(KernelParams(3, 2.0, 1.0), k)
 
 
+class TestDeltaSquaredRange:
+    """delta^2 alone leaves the double range; lambda is computed or named out of it."""
+
+    @pytest.mark.parametrize(
+        "d,alpha,delta,kd",
+        [(3, 3.5, 1e200, 1e300), (3, 4.5, 1e160, 1e40), (2, 3.9, 1e170, 1e40)],
+    )
+    def test_representable_lambda(self, d, alpha, delta, kd):
+        with mp.workdps(40):
+            ref = mp.mpf(lambda_hybrid(KernelParams(d, alpha, 1.0), kd).lam) / mp.mpf(delta) ** 2
+        res = lambda_hybrid(KernelParams(d, alpha, delta), kd / delta)
+        assert rel(res.lam, ref) <= 8 * EPS
+
+    @pytest.mark.parametrize("delta", [1e-160, 1e-170])
+    def test_lambda_beyond_double_range_rejected(self, delta):
+        # lambda ~ -1.8e321 and ~ -1.8e341
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            lambda_hybrid(KernelParams(3, 2.0, delta), 100.0 / delta)
+
+    def test_kdelta_overflow_named(self):
+        with pytest.raises(ValueError, match=r"k\*delta overflows the double range"):
+            lambda_hybrid(KernelParams(3, 2.0, 1e10), 1e300)
+
+
 class TestLambdaHybrid:
     def test_dispatch_below_switch(self):
         assert lambda_hybrid(KernelParams(3, 2.0, 1.0), 5.9).method == "maclaurin"
@@ -344,6 +368,14 @@ class TestLattice:
     def test_kmax_guard(self):
         with pytest.raises(ValueError):
             lattice_spectrum(KernelParams(2, 1.0, 1.0), 4097)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_entries_in_ascending_m(self, jobs):
+        # the CLI writes its rows in this order
+        ms = achievable_squared_norms(3, 8)
+        assert len(ms) >= 100
+        table = lattice_spectrum(KernelParams(3, 1.5, 0.5), 8, jobs=jobs)
+        assert list(table.entries) == ms
 
     def test_nonconvergence_reports_same_error_for_any_jobs(self, monkeypatch):
         # forked workers inherit the patched cap
