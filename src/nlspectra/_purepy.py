@@ -10,6 +10,7 @@ wrappers.
 from __future__ import annotations
 
 import math
+import threading
 
 # Lanczos representation of Gamma(z+1) with shift g = 607/128 and the
 # 15-coefficient table computed by Godfrey; roughly 1e-15 relative accuracy
@@ -42,6 +43,15 @@ _SQRT_HALF = math.sqrt(0.5)
 # rescale leaves every approximant T = N/D bit-identical.
 _RESCALE_THRESHOLD = 2.0**512
 _RESCALE_TINY = 2.0**-512
+
+# The recurrence coefficients depend on (alpha, beta, n) and the order, not
+# on z, so they are tabulated once and shared by every call on the same
+# parameters. At most _TABLES_KEPT tables are kept (the oldest goes first),
+# each holding orders 1.._TABLE_ORDERS; higher orders are computed per call.
+_TABLES_KEPT = 8
+_TABLE_ORDERS = 4096
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()
 
 
 def _lanczos_sum(z):
@@ -212,7 +222,9 @@ def _bessel_half(two_nu, x):
 
 
 def bessel_j(two_nu, x):
-    """J_nu(x) with the order passed as 2*nu (integer)."""
+    """J_nu(x) with the order passed as 2*nu (integer). The large-argument
+    regime ignores terms that matter from nu = 11 on, so callers keep
+    2*nu <= 21."""
     if two_nu & 1:
         return _bessel_half(two_nu, x)
     nu = two_nu >> 1
@@ -260,6 +272,48 @@ def _nan_like(v):
     return math.nan
 
 
+def _coefficient_table(alpha, beta, n):
+    """The shared list of recurrence coefficients for (alpha, beta, n).
+
+    Entry k-1 is (k, lead, b - z, c, e) for order k; only z varies between
+    the calls that share a table. Keyed on the parameter types too, so a
+    complex twin of real parameters gets its own table.
+    """
+    key = (type(alpha), type(beta), alpha, beta, n)
+    table = _TABLES.get(key)
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.get(key)
+            if table is None:
+                if len(_TABLES) >= _TABLES_KEPT:
+                    del _TABLES[next(iter(_TABLES))]
+                table = _TABLES[key] = []
+    return table
+
+
+def _coefficient_row(table, alpha, beta, n, k):
+    """Coefficients of order k, appended to ``table`` if it ends at order
+    k-1 and is below its cap. A row is complete before it is appended, so a
+    concurrent reader never sees part of one."""
+    ab2n = alpha + beta + 2.0 * n
+    row = (
+        k,
+        (alpha + n + k + 1.0) * (beta + n + k + 1.0),
+        k * (ab2n + 2.0 * k + 1.0),
+        k * (ab2n + 3.0 * k),
+        k * (k - 1.0),
+    )
+    if len(table) == k - 1 < _TABLE_ORDERS:
+        with _TABLES_LOCK:
+            if len(table) == k - 1:
+                table.append(row)
+    return row
+
+
+def _stalled(t, order, diff, at):
+    return (t, order, False, diff / at if at > 0.0 else math.inf)
+
+
 def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     """The four-term numerator/denominator recurrence of Drummond's
     transformation for the terms a_k = (alpha)_k (beta)_k / (-z)^k.
@@ -268,7 +322,8 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     returns the approximant T_n^(k_end) alone, forming no intermediate
     quotient; otherwise it returns (value, order, converged, est_rel_err)
     and stops once two consecutive approximant differences fall below
-    tol * |T|.
+    tol * |T|. The coefficients that do not involve z come from the table
+    of (alpha, beta, n), extended as far as this call reaches.
     """
     early = tol is not None
     a = 1.0
@@ -291,45 +346,53 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     if early:
         t_prev = s + 0.0 * d_cur
         t_cur = n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
+        # |T| and the last difference, carried from step to step
+        at_cur = abs(t_cur)
+        diff0 = abs(t_cur - t_prev)
         order = 1
-    ab2n = alpha + beta + 2.0 * n
-    for k in range(1, k_end):
-        lead = (alpha + n + k + 1.0) * (beta + n + k + 1.0)
-        if lead == 0:
+    table = _coefficient_table(alpha, beta, n)
+    k = 1
+    while k < k_end:
+        # the stored rows from order k on, or else order k built now
+        rows = table[k - 1 : k_end - 1]
+        if not rows:
+            rows = (_coefficient_row(table, alpha, beta, n, k),)
+        for k, lead, bmz, c, e in rows:
+            if lead == 0:
+                if early:
+                    return _stalled(t_cur, order, diff0, at_cur)
+                return _nan_like(d_cur)
+            b = z + bmz + lead
+            n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
+            d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
+            an = abs(n_new)
+            ad = abs(d_new)
+            m = ad if ad > an else an  # max(an, ad), NaN included
+            if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
+                scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
+                n_new *= scale
+                n_cur *= scale
+                n_prev *= scale
+                d_new *= scale
+                d_cur *= scale
+                d_prev *= scale
             if early:
-                break
-            return _nan_like(d_cur)
-        b = z + k * (ab2n + 2.0 * k + 1.0) + lead
-        c = k * (ab2n + 3.0 * k)
-        e = k * (k - 1.0)
-        n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
-        d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
-        m = max(abs(n_new), abs(d_new))
-        if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
-            scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
-            n_new *= scale
-            n_cur *= scale
-            n_prev *= scale
-            d_new *= scale
-            d_cur *= scale
-            d_prev *= scale
-        if early:
-            t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
-            order = k + 1
-            diff1 = abs(t_new - t_cur)
-            diff0 = abs(t_cur - t_prev)
-            at_new = abs(t_new)
-            if diff1 < tol * at_new and diff0 < tol * abs(t_cur):
-                est = diff1 / at_new if at_new > 0.0 else 0.0
-                return (t_new, order, True, est)
-            t_prev, t_cur = t_cur, t_new
-        n_prev2, n_prev, n_cur = n_prev, n_cur, n_new
-        d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
+                t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
+                order = k + 1
+                diff1 = abs(t_new - t_cur)
+                at_new = abs(t_new)
+                if diff1 < tol * at_new and diff0 < tol * at_cur:
+                    est = diff1 / at_new if at_new > 0.0 else 0.0
+                    return (t_new, order, True, est)
+                t_cur = t_new
+                at_cur = at_new
+                diff0 = diff1
+            n_prev2, n_prev, n_cur = n_prev, n_cur, n_new
+            d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
+        k += 1
     if not early:
         return n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
-    at = abs(t_cur)
-    est = abs(t_cur - t_prev) / at if at > 0.0 else math.inf
-    return (t_cur, order, False, est)
+    return _stalled(t_cur, order, diff0, at_cur)
 
 
 def drummond_2f0(alpha, beta, z, n, tol, k_max):

@@ -19,6 +19,7 @@ resumming their divergent large-argument expansion.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -75,31 +76,21 @@ class TransformResult:
     est_rel_err: float
 
 
-def _kernel_args(
-    term: HypTerm2F0, n: int, order: int | None
-) -> tuple[tuple[Scalar, Scalar, Scalar], int | None]:
-    """Validate (term, n), coerce the kernel arguments and screen for
-    termination.
+def _terminal_index(alpha, beta, z, n: int, order: int | None, shown) -> int | None:
+    """Validate (alpha, beta, z) and screen for termination.
 
-    Returns (args, m). ``args`` is (alpha, beta, z), all float when the
-    parameters are real and all complex when not. ``m`` is set when the
-    wanted approximant is the terminal partial sum s_m: with alpha or
-    beta = -m the weights a_{n+1}..a_{n+order+1} contain a vanishing term
-    once n + order >= m (``order=None``: at any order). Otherwise it is None.
+    ``alpha``, ``beta`` and ``z`` are all float or all complex; ``shown``
+    holds them as the caller gave them, for the error messages. Returns m
+    when the wanted approximant is the terminal partial sum s_m: with alpha
+    or beta = -m the weights a_{n+1}..a_{n+order+1} contain a vanishing term
+    once n + order >= m (``order=None``: at any order). Otherwise None.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
     if z == 0:
         raise ValueError("z = 0: the series has no meaningful resummation")
     if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, got {term.z}")
+        raise ValueError(f"z must be finite, got {shown[2]}")
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"alpha and beta must be finite, got {term.alpha}, {term.beta}")
-    if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
-        args = (alpha.real, beta.real, z.real)
-    else:
-        args = (alpha, beta, z)
+        raise ValueError(f"alpha and beta must be finite, got {shown[0]}, {shown[1]}")
     # a_k = 0 for all k > m when alpha or beta is the nonpositive integer -m
     m = None
     for p in (alpha, beta):
@@ -107,8 +98,46 @@ def _kernel_args(
             if m is None or -p.real < m:
                 m = -int(p.real)
     if m is not None and (order is None or n + order >= m):
-        return args, m
-    return args, None
+        return m
+    return None
+
+
+def _kernel_args(
+    term: HypTerm2F0, n: int, order: int | None
+) -> tuple[tuple[Scalar, Scalar, Scalar], int | None]:
+    """Validate (term, n), coerce the kernel arguments and screen for
+    termination.
+
+    Returns (args, m). ``args`` is (alpha, beta, z), all float when the
+    parameters are real and all complex when not; ``m`` is the terminal
+    index of ``_terminal_index``.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
+    m = _terminal_index(alpha, beta, z, n, order, (term.alpha, term.beta, term.z))
+    if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
+        return (alpha.real, beta.real, z.real), m
+    return (alpha, beta, z), m
+
+
+def _terminal_sum(args: tuple[Scalar, Scalar, Scalar], m: int, k_max: int):
+    """The exact sum s_m of a terminating series, as the kernel's
+    (value, order, converged, est_rel_err).
+
+    At most k_max terms are summed. A cut-off or non-finite sum is returned
+    as it stands, with converged=False and est_rel_err=inf.
+    """
+    terms = min(m + 1, k_max)
+    value = _k.drummond_2f0_fixed(*args, terms - 1, 0)
+    if terms == m + 1 and cmath.isfinite(value):
+        return value, terms, True, 0.0
+    return value, terms, False, math.inf
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= sys.float_info.epsilon:
+        raise ValueError(f"tol must be >= machine epsilon, got {tol}")
 
 
 def drummond_2f0(
@@ -121,17 +150,20 @@ def drummond_2f0(
 
     Stops once two consecutive approximant differences fall below
     tol * |T|. Terminating series (alpha or beta a nonpositive integer -m)
-    are summed exactly and report order m+1. On hitting ``k_max`` the best
-    value is returned with ``converged=False``; no exception is raised.
+    are summed exactly and report order m+1, the number of terms; past
+    ``k_max`` terms, or where the sum overflows, the partial sum is returned
+    with ``converged=False`` and ``est_rel_err=inf``. On hitting ``k_max``
+    the best value is returned with ``converged=False``; no exception is
+    raised.
     """
-    if not tol >= sys.float_info.epsilon:
-        raise ValueError(f"tol must be >= machine epsilon, got {tol}")
+    _check_tol(tol)
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     args, m = _kernel_args(term, n, None)
     if m is not None:
-        return TransformResult(_k.drummond_2f0_fixed(*args, m, 0), m + 1, True, 0.0)
-    value, order, converged, est = _k.drummond_2f0(*args, n, tol, k_max)
+        value, order, converged, est = _terminal_sum(args, m, k_max)
+    else:
+        value, order, converged, est = _k.drummond_2f0(*args, n, tol, k_max)
     return TransformResult(value, order, bool(converged), est)
 
 
@@ -149,13 +181,16 @@ def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
 def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
     """Resummation of S_{mu,nu}(x) ~ x^(mu-1) sum_k (a)_k (b)_k / (-z)^k,
     a = (1-mu+nu)/2, b = (1-mu-nu)/2, z = x^2/4; its ``value`` is S itself.
+
+    Float arguments only; ``tol`` is taken as already checked.
     """
-    res = drummond_2f0(
-        HypTerm2F0(0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x), 0, tol
-    )
-    value = res.value.real if isinstance(res.value, complex) else res.value
-    res.value = x ** (mu - 1.0) * value
-    return res
+    args = (0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x)
+    m = _terminal_index(*args, 0, None, args)
+    if m is not None:
+        value, order, converged, est = _terminal_sum(args, m, DEFAULT_KMAX)
+    else:
+        value, order, converged, est = _k.drummond_2f0(*args, 0, tol, DEFAULT_KMAX)
+    return TransformResult(x ** (mu - 1.0) * value, order, bool(converged), est)
 
 
 def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
@@ -167,6 +202,7 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
+    _check_tol(tol)
     res = _lommel(mu, nu, x, tol)
     if not res.converged:
         raise NonConvergenceError(

@@ -12,7 +12,9 @@ Supported regimes (what the eigenvalue formulas actually need):
 * ``log_gamma_ratio``: log(Gamma(z+1+eps)/Gamma(z+1)) through a
   cancellation-free rearrangement of the Lanczos series, smooth as eps -> 0.
 * ``digamma``: psi(z) for z > 0.
-* ``bessel_j``: J_nu for integer and half-integer orders nu >= -3/2.
+* ``bessel_j``: J_nu for integer and half-integer orders -3/2 <= nu <= 21/2,
+  the orders a test against ``mpmath.besselj`` verifies on every regime
+  (the large-argument expansion is inaccurate at x >= 28 from nu = 11 on).
   Half-integer orders are built from the exact trigonometric forms of
   J_{1/2} and J_{-1/2} once x >= nu (below that the ascending series is
   used, the trig forms cancel badly). Integer orders use the ascending
@@ -24,6 +26,9 @@ Supported regimes (what the eigenvalue formulas actually need):
 from __future__ import annotations
 
 from ._backend import kernels as _k
+
+#: Largest accepted 2*nu of ``bessel_j``.
+_BESSEL_TWO_NU_MAX = 21
 
 __all__ = [
     "gamma",
@@ -64,13 +69,13 @@ def digamma(z: float) -> float:
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """Bessel J_nu(x) for integer or half-integer nu >= -3/2 and x > 0."""
+    """Bessel J_nu(x) for integer or half-integer nu in [-3/2, 21/2] and x > 0."""
     nu = float(nu)
     x = float(x)
     two_nu = round(2.0 * nu)
-    if abs(2.0 * nu - two_nu) > 1e-9 or two_nu < -3 or two_nu > 64:
+    if abs(2.0 * nu - two_nu) > 1e-9 or two_nu < -3 or two_nu > _BESSEL_TWO_NU_MAX:
         raise ValueError(
-            f"bessel_j supports integer/half-integer orders in [-3/2, 32], got nu={nu}"
+            f"bessel_j supports integer/half-integer orders in [-3/2, 21/2], got nu={nu}"
         )
     if x <= 0.0:
         raise ValueError(f"bessel_j requires x > 0, got {x}")

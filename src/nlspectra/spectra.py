@@ -177,6 +177,32 @@ def stable_prefactor(x: float, y: float, z: float) -> float:
     return _k.stable_prefactor(x, y, z)
 
 
+@functools.lru_cache(maxsize=32)
+def _asy_constants(d: int, alpha: float) -> tuple[float, float, float, float]:
+    """The factors of the asymptotic formula that depend on (d, alpha) alone.
+
+    Returns (Gamma(d/2), c, A, B) with c = 2 Gamma(d/2+1) (d+2-alpha) and,
+    for x = (d-alpha)/2, A = log Gamma(1+x) and B = log(Gamma(d/2-x) /
+    Gamma(d/2)), the two log-gamma ratios of stable_prefactor(x, ., d/2).
+    A and B are NaN where alpha = 0 or alpha = d, which do not use them.
+    """
+    ghalf = _k.gamma(0.5 * d)
+    c = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
+    x = 0.5 * (d - alpha)
+    if alpha == 0.0 or x == 0.0:
+        return ghalf, c, math.nan, math.nan
+    return ghalf, c, _k.log_gamma_ratio(0.0, x), _k.log_gamma_ratio(0.5 * d - 1.0, -x)
+
+
+def _gamma_part_exponent(d: int, alpha: float, kd: float) -> float:
+    """t = log[(kd/2)^(alpha-d) Gamma(x+1) Gamma(d/2) / Gamma(d/2-x)],
+    x = (d-alpha)/2, for alpha not in {0, d}: the exponent inside
+    stable_prefactor(x, 2/kd, d/2)."""
+    _, _, lg_a, lg_b = _asy_constants(d, alpha)
+    x = 0.5 * (d - alpha)
+    return 2.0 * x * math.log(2.0 / kd) + lg_a - lg_b
+
+
 def _asy_part_a(d: int, alpha: float, kd: float) -> float:
     """Gamma-ratio part of the asymptotic formula, stable through alpha = d.
 
@@ -186,10 +212,13 @@ def _asy_part_a(d: int, alpha: float, kd: float) -> float:
     first term vanishes against the Gamma(alpha/2) pole and the second is
     returned directly.
     """
-    ghalf = _k.gamma(0.5 * d)
+    ghalf = _asy_constants(d, alpha)[0]
     if alpha == 0.0:
         return -2.0 / (d * ghalf)
-    return _k.stable_prefactor(0.5 * (d - alpha), 2.0 / kd, 0.5 * d) / ghalf
+    x = 0.5 * (d - alpha)
+    if x == 0.0:
+        return _k.stable_prefactor(x, 2.0 / kd, 0.5 * d) / ghalf
+    return math.expm1(_gamma_part_exponent(d, alpha, kd)) / x / ghalf
 
 
 def _huge_gamma_part_in_logs(
@@ -204,11 +233,7 @@ def _huge_gamma_part_in_logs(
     d (d+2-alpha) / (-x delta^2) and joins the exponent as a logarithm.
     """
     x = 0.5 * (d - alpha)
-    t = (
-        2.0 * x * math.log(2.0 / kd)
-        + _k.log_gamma_ratio(0.0, x)
-        - _k.log_gamma_ratio(0.5 * d - 1.0, -x)
-    )
+    t = _gamma_part_exponent(d, alpha, kd)
     log_scale = math.log(d * (d + 2.0 - alpha) / -x) - 2.0 * math.log(delta)
     log_lam = t + log_scale
     try:
@@ -274,7 +299,7 @@ def lambda_asymptotic(
         # kd far beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
         lam, est = _huge_gamma_part_in_logs(d, alpha, delta, kd)
         return EvalResult(lam, "asymptotic", 0, est)
-    c = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
+    c = _asy_constants(d, alpha)[1]
     if kd >= ASYMPTOTIC_TAIL_CUTOFF:
         # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
         est = 1e-15 + _EPS * abs(alpha - d) * math.log(kd)

@@ -1,13 +1,17 @@
 import cmath
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from nlspectra import NonConvergenceError
+from nlspectra import NonConvergenceError, _purepy
 from nlspectra.drummond import (
+    DEFAULT_KMAX,
+    DEFAULT_TOL,
     HypTerm2F0,
     drummond_2f0,
     drummond_2f0_at_order,
@@ -124,6 +128,157 @@ class TestDrummond2F0:
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged
         assert res.est_rel_err > 0
+
+
+class TestTerminatingCap:
+    """A terminating series sums at most k_max terms; a cut-off or
+    overflowing sum is returned with converged=False and est_rel_err=inf."""
+
+    def test_partial_sum_past_the_cap(self):
+        res = drummond_2f0(HypTerm2F0(-2000.0, 1.0, 2.0), k_max=50)
+        assert (res.order, res.converged, res.est_rel_err) == (50, False, math.inf)
+        a = Fraction(1)
+        exact = Fraction(1)
+        for j in range(49):
+            a = a * (-2000 + j) * (1 + j) / -2
+            exact += a
+        assert rel(res.value, float(exact)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [-1e6, -1e300])
+    def test_huge_terminating_parameter_returns_at_the_cap(self, alpha):
+        res = drummond_2f0(HypTerm2F0(alpha, 1.0, 2.0))
+        assert (res.order, res.converged, res.est_rel_err) == (DEFAULT_KMAX, False, math.inf)
+
+    def test_not_handed_to_the_capped_recurrence(self):
+        # the recurrence stopped at k_max = 500 "converges" to -0.042 at
+        # order 444 here, while the exact sum overflows
+        res = drummond_2f0(HypTerm2F0(-600.0, 1.0, 2.0))
+        assert (res.order, res.converged, res.est_rel_err) == (500, False, math.inf)
+
+    def test_overflowing_sum_not_converged(self):
+        res = drummond_2f0(HypTerm2F0(-600.0, 1.0, 2.0), k_max=1000)
+        assert (res.order, res.converged, res.est_rel_err) == (601, False, math.inf)
+        assert not math.isfinite(res.value)
+
+    def test_sum_within_the_cap_unchanged(self):
+        res = drummond_2f0(HypTerm2F0(-3.0, 1.0, 2.0), k_max=4)
+        assert (res.value, res.order, res.converged, res.est_rel_err) == (10.0, 4, True, 0.0)
+
+
+@pytest.fixture
+def cold_tables():
+    """Start and end the test with no coefficient table kept."""
+    _purepy._TABLES.clear()
+    yield _purepy._TABLES
+    _purepy._TABLES.clear()
+
+
+def _fixed(case, z, order):
+    alpha, beta, n = case[:3]
+    return _purepy.drummond_2f0_fixed(alpha, beta, z, n, order)
+
+
+def _early(case, z, order, tol=DEFAULT_TOL):
+    alpha, beta, n = case[:3]
+    return _purepy.drummond_2f0(alpha, beta, z, n, tol, order)
+
+
+def _twin(case):
+    """The same values with the other parameter type (float <-> complex)."""
+    alpha, beta, n, z, order = case
+    if isinstance(alpha, complex):
+        return (alpha.real, beta.real, n, abs(z), order)
+    return (complex(alpha), complex(beta), n, complex(z), order)
+
+
+class TestCoefficientTables:
+    """The recurrence reads its order-only coefficients from tables shared
+    by every call on the same (alpha, beta, n); no table state may change a
+    bit of any result."""
+
+    # (alpha, beta, n, z, order)
+    CASES = [
+        (1.0, 1.0, 0, 8.0, 40),
+        (0.5, -0.25, 1, 20.0, 25),
+        (2.5, 0.5, 3, 4.0, 60),
+        (1.0, -0.45, 0, 12.0, 111),
+        (complex(1.0), complex(1.0), 0, complex(-3.2, 4.1), 1000),
+        (complex(0.7, 0.4), complex(1.5, -0.3), 1, complex(6.0, 2.0), 50),
+    ]
+
+    @staticmethod
+    def outcome(case):
+        z, order = case[3], case[4]
+        return repr((_fixed(case, z, order), _early(case, z, order)))
+
+    def warmers(self, case):
+        z, order = case[3], case[4]
+        yield lambda: _fixed(case, z + 1.5, order + 50)  # higher orders
+        yield lambda: _fixed(case, 2 * z, order // 3)  # lower orders
+        yield lambda: [_early(case, w, order, 1e-8) for w in (z, 3 * z, z + 7)]
+        twin = _twin(case)
+        yield lambda: (_fixed(twin, twin[3], order + 5), _early(twin, twin[3], order))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cold_and_warm_tables_give_the_same_bits(self, case, cold_tables):
+        cold = self.outcome(case)
+        for warm in self.warmers(case):
+            cold_tables.clear()
+            warm()
+            assert self.outcome(case) == cold, case
+        # and with every warmer's rows in place at once
+        for warm in self.warmers(case):
+            warm()
+        assert self.outcome(case) == cold, case
+
+    def test_first_call_builds_only_the_orders_it_uses(self, cold_tables):
+        _value, order, converged, _est = _purepy.drummond_2f0(1.0, 1.0, 8.0, 0, DEFAULT_TOL, 500)
+        assert converged
+        (table,) = cold_tables.values()
+        assert len(table) == order - 1
+        _purepy.drummond_2f0_fixed(1.0, 1.0, 9.0, 0, order + 10)
+        assert [row[0] for row in table] == list(range(1, order + 10))
+
+    def test_threads_sharing_a_table_give_the_serial_bits(self, cold_tables):
+        # four threads build one table from cold at once, 40 times over
+        case = (1.0, 0.25, 0)
+        zs = [3.0, 4.5, 9.0, 30.0]
+
+        def work(i):
+            return repr((_fixed(case, zs[i], 120), _early(case, zs[i], 500)))
+
+        serial = [work(i) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside table builds too
+        try:
+            for _ in range(40):
+                cold_tables.clear()
+                results = [None] * 4
+                barrier = threading.Barrier(4)
+
+                def run(i):
+                    barrier.wait()
+                    results[i] = work(i)
+
+                threads = [
+                    threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                    assert not t.is_alive()
+                assert results == serial
+                # one row per order, none repeated or skipped
+                (table,) = cold_tables.values()
+                assert [row[0] for row in table] == list(range(1, len(table) + 1))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_number_of_tables_is_bounded(self, cold_tables):
+        for i in range(_purepy._TABLES_KEPT + 5):
+            _purepy.drummond_2f0(1.0 + i / 7, 0.5, 8.0, 0, DEFAULT_TOL, 500)
+        assert len(cold_tables) == _purepy._TABLES_KEPT
 
 
 class TestDrummond2F0AtOrder:

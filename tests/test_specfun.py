@@ -152,6 +152,32 @@ class TestBesselJ:
             # near a zero: absolute accuracy at the 1e-14 scale
             assert abs(got - float(ref)) <= 1e-14 * max(1.0, envelope), (nu, x)
 
+    @pytest.mark.parametrize("two_nu", range(-3, 22))
+    def test_every_accepted_order_against_mpmath(self, two_nu):
+        # every regime and both sides of each switch: series (x <= 7 for
+        # integer orders, x < nu for half-integer ones), backward recurrence
+        # (7 < x < 28), large-argument expansion (x >= 28)
+        nu = two_nu / 2.0
+        xs = [0.1, 1.0, 3.3, 6.99, 7.0, 7.01, 9.7, 10.6, 14.2, 21.0, 27.99, 28.0, 28.01]
+        xs += [31.4, 37.7, 45.0, 66.0, 100.0, 170.0, 1e3, 1e5]
+        for x in xs:
+            got = bessel_j(nu, x)
+            with mp.workprec(128):
+                import mpmath
+
+                ref = float(mpmath.besselj(mp.mpf(nu), mp.mpf(x)))
+            envelope = math.sqrt(2.0 / (math.pi * x))
+            if abs(ref) > 0.01 * envelope:
+                assert rel(got, ref) <= 1e-12, (nu, x)
+            else:
+                assert abs(got - ref) <= 1e-14 * max(1.0, envelope), (nu, x)
+
+    @pytest.mark.parametrize("nu", [11.0, 11.5, 20.0, 32.0])
+    def test_orders_beyond_the_verified_range_rejected(self, nu):
+        # the large-argument expansion gave J_20(30) = 0.698 (true 4.83e-3)
+        with pytest.raises(ValueError, match=r"\[-3/2, 21/2\]"):
+            bessel_j(nu, 30.0)
+
     @pytest.mark.parametrize("two_nu", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("x", [0.5, 3.0, 10.0, 50.0])
     def test_three_term_recurrence_residual(self, two_nu, x):

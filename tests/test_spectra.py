@@ -161,6 +161,17 @@ class TestLambdaAsymptotic:
         with pytest.raises(ValueError):
             lambda_asymptotic(KernelParams(3, 2.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "d,alpha", [(4, 0.0), (6, 0.0), (6, 2.0), (8, 2.0), (10, 0.0), (10, 4.0), (5, 1.0)]
+    )
+    @pytest.mark.parametrize("kd", [8.0, 20.0])
+    def test_terminating_lommel_parameters(self, d, alpha, kd):
+        # alpha/2, (4-d+alpha)/2 or (2-d+alpha)/2 is a nonpositive integer:
+        # a Lommel expansion terminates and is summed exactly
+        params = KernelParams(d, alpha, 1.0)
+        res = lambda_asymptotic(params, kd)
+        assert rel(res.lam, oracle_lambda_maclaurin(params, kd)) <= res.est_rel_err
+
 
 # lambda_hybrid(KernelParams(d, alpha, 1), kd).lam by the full formula, Lommel
 # part included; the tail cutoff must leave these bits unchanged
