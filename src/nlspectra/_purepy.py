@@ -9,7 +9,9 @@ wrappers.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import threading
 
 # Lanczos representation of Gamma(z+1) with shift g = 607/128 and the
@@ -46,11 +48,11 @@ _RESCALE_TINY = 2.0**-512
 
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
 # on z, so they are tabulated once and shared by every call on the same
-# parameters. At most _TABLES_KEPT tables are kept (the oldest goes first),
-# each holding orders 1.._TABLE_ORDERS; higher orders are computed per call.
+# parameters. At most _TABLES_KEPT tables are kept (the least recently used
+# goes first), each holding orders 1.._TABLE_ORDERS; higher orders are
+# computed per call.
 _TABLES_KEPT = 8
 _TABLE_ORDERS = 4096
-_TABLES: dict = {}
 _TABLES_LOCK = threading.Lock()
 
 
@@ -234,13 +236,26 @@ def bessel_j(two_nu, x):
     return _bessel_int(nu, x)
 
 
-def stable_prefactor(x, y, z):
-    # f(x, y, z) = [y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x) - 1] / x with
-    # the removable singularity at x = 0 evaluated exactly.
+@functools.lru_cache(maxsize=32)
+def _log_gamma_ratios(x, z):
+    # log Gamma(x+1) and log(Gamma(z-x) / Gamma(z)); an eigenvalue route
+    # asks for the same (x, z) on every k
+    return log_gamma_ratio(0.0, x), log_gamma_ratio(z - 1.0, -x)
+
+
+def gamma_part_exponent(x, log_y, z):
+    """log[y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x)], from log y so that y
+    itself may lie outside the double range."""
+    lg_a, lg_b = _log_gamma_ratios(x, z)
+    return 2.0 * x * log_y + lg_a - lg_b
+
+
+def stable_prefactor(x, log_y, z):
+    # f(x, y, z) = [y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x) - 1] / x from
+    # log y, with the removable singularity at x = 0 evaluated exactly.
     if x == 0.0:
-        return 2.0 * math.log(y) - EULER_GAMMA + digamma(z)
-    t = 2.0 * x * math.log(y) + log_gamma_ratio(0.0, x) - log_gamma_ratio(z - 1.0, -x)
-    return math.expm1(t) / x
+        return 2.0 * log_y - EULER_GAMMA + digamma(z)
+    return math.expm1(gamma_part_exponent(x, log_y, z)) / x
 
 
 def maclaurin_lambda(d, alpha, k, delta, tol, cap):
@@ -248,22 +263,28 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
 
     Returns (value, terms, converged, est_rel_err). The n = 1 term is
     exactly -k**2, so the whole sum is built by the term-ratio recurrence
-    with no gamma evaluations.
+    with no gamma evaluations. The estimate is the first omitted term plus
+    the rounding of the n-term alternating sum, eps (sqrt(n) + 1) sum |u_j|,
+    both relative to |s|.
     """
     y = 0.25 * (k * delta) ** 2
     u = -(k * k)
     s = u
+    au = s_abs = abs(u)
     n = 1
     while n < cap:
         u *= -y * (d + 2.0 * n - alpha) / ((n + 1.0) * (n + 0.5 * d) * (d + 2.0 * n + 2.0 - alpha))
-        if abs(u) < tol * abs(s):
-            return (s, n, True, abs(u) / abs(s))
+        au = abs(u)
+        if au < tol * abs(s):
+            break
         s += u
+        s_abs += au
         n += 1
-    au = abs(u)
     a_s = abs(s)
-    est = au / a_s if a_s > 0.0 else math.inf
-    return (s, n, False, est)
+    if not a_s > 0.0:
+        return (s, n, False, math.inf)
+    est = au / a_s + sys.float_info.epsilon * (math.sqrt(n) + 1.0) * s_abs / a_s
+    return (s, n, n < cap, est)
 
 
 def _nan_like(v):
@@ -272,23 +293,17 @@ def _nan_like(v):
     return math.nan
 
 
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
 def _coefficient_table(alpha, beta, n):
     """The shared list of recurrence coefficients for (alpha, beta, n).
 
     Entry k-1 is (k, lead, b - z, c, e) for order k; only z varies between
     the calls that share a table. Keyed on the parameter types too, so a
-    complex twin of real parameters gets its own table.
+    complex twin of real parameters gets its own table. Two threads that
+    miss at once may each get a list; only one is kept, and the other
+    serves its caller alone.
     """
-    key = (type(alpha), type(beta), alpha, beta, n)
-    table = _TABLES.get(key)
-    if table is None:
-        with _TABLES_LOCK:
-            table = _TABLES.get(key)
-            if table is None:
-                if len(_TABLES) >= _TABLES_KEPT:
-                    del _TABLES[next(iter(_TABLES))]
-                table = _TABLES[key] = []
-    return table
+    return []
 
 
 def _coefficient_row(table, alpha, beta, n, k):

@@ -121,13 +121,17 @@ def _kernel_args(
     return (alpha, beta, z), m
 
 
-def _terminal_sum(args: tuple[Scalar, Scalar, Scalar], m: int, k_max: int):
-    """The exact sum s_m of a terminating series, as the kernel's
-    (value, order, converged, est_rel_err).
+def _resum(
+    args: tuple[Scalar, Scalar, Scalar], m: int | None, n: int, tol: float, k_max: int
+):
+    """The kernel's (value, order, converged, est_rel_err) for T_n, or for
+    the exact sum s_m where ``m`` marks a terminating series.
 
-    At most k_max terms are summed. A cut-off or non-finite sum is returned
-    as it stands, with converged=False and est_rel_err=inf.
+    A terminal sum takes at most k_max terms; a cut-off or non-finite one is
+    returned as it stands, with converged=False and est_rel_err=inf.
     """
+    if m is None:
+        return _k.drummond_2f0(*args, n, tol, k_max)
     terms = min(m + 1, k_max)
     value = _k.drummond_2f0_fixed(*args, terms - 1, 0)
     if terms == m + 1 and cmath.isfinite(value):
@@ -160,10 +164,7 @@ def drummond_2f0(
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     args, m = _kernel_args(term, n, None)
-    if m is not None:
-        value, order, converged, est = _terminal_sum(args, m, k_max)
-    else:
-        value, order, converged, est = _k.drummond_2f0(*args, n, tol, k_max)
+    value, order, converged, est = _resum(args, m, n, tol, k_max)
     return TransformResult(value, order, bool(converged), est)
 
 
@@ -186,10 +187,7 @@ def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
     """
     args = (0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x)
     m = _terminal_index(*args, 0, None, args)
-    if m is not None:
-        value, order, converged, est = _terminal_sum(args, m, DEFAULT_KMAX)
-    else:
-        value, order, converged, est = _k.drummond_2f0(*args, 0, tol, DEFAULT_KMAX)
+    value, order, converged, est = _resum(args, m, 0, tol, DEFAULT_KMAX)
     return TransformResult(x ** (mu - 1.0) * value, order, bool(converged), est)
 
 

@@ -6,10 +6,9 @@ uses exact ``fractions.Fraction`` arithmetic. The test suite and the table
 command's error columns use these as ground truth; nothing on the fast
 path calls them.
 
-The working-precision reference forms of Drummond's transformation live
+The working-precision reference form of Drummond's transformation lives
 here as well: ``drummond_generic``, the O(k^2) finite-difference quotient
-for arbitrary terms, and ``DrummondState``, the recurrence taken one
-inspectable step at a time.
+for arbitrary terms, the baseline of the recurrence's stability.
 
 ``BigReal`` values are mpmath floats carrying at least ``PRECISION_BITS``
 of significand. The finite-difference form of Drummond's transformation
@@ -20,16 +19,13 @@ requested order instead of pinning 256 bits.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 from mpmath import mp
 
-from ._purepy import _RESCALE_THRESHOLD, _RESCALE_TINY
-from .drummond import DEFAULT_KMAX, HypTerm2F0, Scalar
+from .drummond import HypTerm2F0, Scalar
 
 __all__ = [
     "BigReal",
@@ -46,8 +42,6 @@ __all__ = [
     "oracle_drummond_reference",
     "oracle_denominator_poly",
     "drummond_generic",
-    "DrummondState",
-    "drummond_2f0_approximants",
 ]
 
 PRECISION_BITS = 256
@@ -303,91 +297,3 @@ def drummond_generic(terms: Sequence[Scalar], n: int, k: int) -> Scalar:
     if den[0] == 0:
         raise ZeroDivisionError(f"denominator difference vanished at n={n}, k={k}")
     return num[0] / den[0]
-
-
-@dataclass
-class DrummondState:
-    """Rolling window of the numerator/denominator recurrence.
-
-    Holds N_n^(k), N_n^(k-1), N_n^(k-2) and the D counterparts together
-    with the last two approximants; ``advance`` moves k -> k+1.
-    """
-
-    k: int
-    n: int
-    N_cur: Scalar
-    N_prev: Scalar
-    N_prev2: Scalar
-    D_cur: Scalar
-    D_prev: Scalar
-    D_prev2: Scalar
-    T_cur: Scalar
-    T_prev: Scalar
-
-    @classmethod
-    def start(cls, term: HypTerm2F0, n: int = 0) -> "DrummondState":
-        """State at k = 1 from the initial data D^(0)=1/a_{n+1}, N^(0)=s_n D^(0),
-        N^(1) = s_n D^(1) + a_{n+1}/a_{n+2}."""
-        if term.z == 0:
-            raise ValueError("z = 0: the series has no meaningful resummation")
-        a: Scalar = 1.0
-        s: Scalar = 1.0
-        for j in range(n):
-            a = a * (term.alpha + j) * (term.beta + j) / (-term.z)
-            s = s + a
-        a = a * (term.alpha + n) * (term.beta + n) / (-term.z)
-        d0 = 1.0 / a
-        n0 = s * d0
-        r = (term.alpha + n + 1.0) * (term.beta + n + 1.0)
-        d1 = -(term.z / r + 1.0) * d0
-        n1 = s * d1 - term.z / r
-        t1 = n1 / d1 if d1 != 0 else math.nan
-        return cls(1, n, n1, n0, 0.0, d1, d0, 0.0, t1, s)
-
-    def advance(self, term: HypTerm2F0) -> None:
-        k = self.k
-        n = self.n
-        lead = (term.alpha + n + k + 1.0) * (term.beta + n + k + 1.0)
-        if lead == 0:
-            raise ZeroDivisionError(
-                f"recurrence leading coefficient vanished at k={k} (terminating series)"
-            )
-        ab2n = term.alpha + term.beta + 2.0 * n
-        b = term.z + k * (ab2n + 2.0 * k + 1.0) + lead
-        c = k * (ab2n + 3.0 * k)
-        e = k * (k - 1.0)
-        n_new = -(b * self.N_cur + c * self.N_prev + e * self.N_prev2) / lead
-        d_new = -(b * self.D_cur + c * self.D_prev + e * self.D_prev2) / lead
-        m = max(abs(n_new), abs(d_new))
-        if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
-            scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
-            n_new *= scale
-            d_new *= scale
-            self.N_cur *= scale
-            self.D_cur *= scale
-            self.N_prev *= scale
-            self.D_prev *= scale
-        self.N_prev2, self.N_prev, self.N_cur = self.N_prev, self.N_cur, n_new
-        self.D_prev2, self.D_prev, self.D_cur = self.D_prev, self.D_cur, d_new
-        self.T_prev = self.T_cur
-        self.T_cur = n_new / d_new if d_new != 0 else math.nan
-        self.k = k + 1
-
-
-def drummond_2f0_approximants(term: HypTerm2F0, n: int = 0, k_max: int = DEFAULT_KMAX):
-    """Yield (k, T_n^(k)) for k = 0, 1, ... via DrummondState.
-
-    Introspectable step-by-step path; the backends implement the same
-    recurrence as a closed loop.
-    """
-    a: Scalar = 1.0
-    s: Scalar = 1.0
-    for j in range(n):
-        a = a * (term.alpha + j) * (term.beta + j) / (-term.z)
-        s = s + a
-    yield 0, s
-    state = DrummondState.start(term, n)
-    yield 1, state.T_cur
-    while state.k < k_max:
-        state.advance(term)
-        yield state.k, state.T_cur

@@ -22,11 +22,12 @@ import contextlib
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_TOL, _lommel
+from .drummond import DEFAULT_TOL, _check_tol, _lommel
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -61,7 +62,8 @@ LATTICE_KMAX_LIMIT = 4096
 #: z = (k*delta)^2/4 and overflow before they can be rescaled.
 ASYMPTOTIC_TAIL_CUTOFF = 2.0**150
 
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
+_LOG2 = math.log(2.0)
 #: Smallest normal double.
 _TINY = 2.2250738585072014e-308
 
@@ -121,8 +123,7 @@ def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
     if not 0.0 <= k_mod < math.inf:
         raise ValueError(f"k_mod must be finite and >= 0, got {k_mod}")
-    if not tol >= _EPS:
-        raise ValueError(f"tol must be >= machine epsilon, got {tol}")
+    _check_tol(tol)
 
 
 def lambda_maclaurin(
@@ -174,55 +175,34 @@ def stable_prefactor(x: float, y: float, z: float) -> float:
         raise ValueError(f"stable_prefactor requires z > 0, got {z}")
     if x <= -1.0 or x >= z:
         raise ValueError(f"stable_prefactor requires -1 < x < z, got x={x}, z={z}")
-    return _k.stable_prefactor(x, y, z)
+    return _k.stable_prefactor(x, math.log(y), z)
 
 
 @functools.lru_cache(maxsize=32)
-def _asy_constants(d: int, alpha: float) -> tuple[float, float, float, float]:
-    """The factors of the asymptotic formula that depend on (d, alpha) alone.
-
-    Returns (Gamma(d/2), c, A, B) with c = 2 Gamma(d/2+1) (d+2-alpha) and,
-    for x = (d-alpha)/2, A = log Gamma(1+x) and B = log(Gamma(d/2-x) /
-    Gamma(d/2)), the two log-gamma ratios of stable_prefactor(x, ., d/2).
-    A and B are NaN where alpha = 0 or alpha = d, which do not use them.
-    """
-    ghalf = _k.gamma(0.5 * d)
-    c = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
-    x = 0.5 * (d - alpha)
-    if alpha == 0.0 or x == 0.0:
-        return ghalf, c, math.nan, math.nan
-    return ghalf, c, _k.log_gamma_ratio(0.0, x), _k.log_gamma_ratio(0.5 * d - 1.0, -x)
+def _asy_constants(d: int, alpha: float) -> tuple[float, float]:
+    """(Gamma(d/2), c) with c = 2 Gamma(d/2+1) (d+2-alpha), the factors of
+    the asymptotic formula that depend on (d, alpha) alone."""
+    return _k.gamma(0.5 * d), 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
 
 
-def _gamma_part_exponent(d: int, alpha: float, kd: float) -> float:
-    """t = log[(kd/2)^(alpha-d) Gamma(x+1) Gamma(d/2) / Gamma(d/2-x)],
-    x = (d-alpha)/2, for alpha not in {0, d}: the exponent inside
-    stable_prefactor(x, 2/kd, d/2)."""
-    _, _, lg_a, lg_b = _asy_constants(d, alpha)
-    x = 0.5 * (d - alpha)
-    return 2.0 * x * math.log(2.0 / kd) + lg_a - lg_b
-
-
-def _asy_part_a(d: int, alpha: float, kd: float) -> float:
+def _asy_part_a(d: int, alpha: float, log_y: float) -> float:
     """Gamma-ratio part of the asymptotic formula, stable through alpha = d.
 
-    Equals (kd/2)^(alpha-d) Gamma((d-alpha)/2) / Gamma(alpha/2)
+    With y = 2/(k*delta), equals
+           (kd/2)^(alpha-d) Gamma((d-alpha)/2) / Gamma(alpha/2)
            - 2 / ((d-alpha) Gamma(d/2)),
-    rewritten via f((d-alpha)/2, 2/kd, d/2) / Gamma(d/2). At alpha = 0 the
-    first term vanishes against the Gamma(alpha/2) pole and the second is
-    returned directly.
+    rewritten via f((d-alpha)/2, y, d/2) / Gamma(d/2) and taken from log y.
+    At alpha = 0 the first term vanishes against the Gamma(alpha/2) pole and
+    the second is returned directly.
     """
     ghalf = _asy_constants(d, alpha)[0]
     if alpha == 0.0:
         return -2.0 / (d * ghalf)
-    x = 0.5 * (d - alpha)
-    if x == 0.0:
-        return _k.stable_prefactor(x, 2.0 / kd, 0.5 * d) / ghalf
-    return math.expm1(_gamma_part_exponent(d, alpha, kd)) / x / ghalf
+    return _k.stable_prefactor(0.5 * (d - alpha), log_y, 0.5 * d) / ghalf
 
 
 def _huge_gamma_part_in_logs(
-    d: int, alpha: float, delta: float, kd: float
+    d: int, alpha: float, delta: float, log_y: float, kd: float
 ) -> tuple[float, float]:
     """(lambda, est_rel_err) from the gamma-ratio part alone, for alpha > d
     where exp(t) = (kd/2)^(alpha-d) Gamma(x+1) Gamma(d/2) / Gamma(d/2-x),
@@ -233,7 +213,7 @@ def _huge_gamma_part_in_logs(
     d (d+2-alpha) / (-x delta^2) and joins the exponent as a logarithm.
     """
     x = 0.5 * (d - alpha)
-    t = _gamma_part_exponent(d, alpha, kd)
+    t = _k.gamma_part_exponent(x, log_y, 0.5 * d)
     log_scale = math.log(d * (d + 2.0 - alpha) / -x) - 2.0 * math.log(delta)
     log_lam = t + log_scale
     try:
@@ -267,6 +247,12 @@ def _over_delta_squared(
     return lam
 
 
+def _asymptotic_result(lam: float, terms: int, est: float) -> EvalResult:
+    # a lambda below the normal doubles (a subnormal, or zero) has lost its
+    # relative accuracy to underflow, whatever the parts' estimates say
+    return EvalResult(lam, "asymptotic", terms, est if abs(lam) >= _TINY else math.inf)
+
+
 def lambda_asymptotic(
     params: KernelParams, k_mod: float, tol: float = DEFAULT_TOL
 ) -> EvalResult:
@@ -277,8 +263,9 @@ def lambda_asymptotic(
     divergent expansions, so ``terms`` reports the larger resummation order
     and non-convergence propagates as NonConvergenceError. From
     k*delta = ASYMPTOTIC_TAIL_CUTOFF on, the Bessel/Lommel part is below
-    rounding and is skipped (``terms`` = 0). Where k*delta or lambda leaves
-    the double range, ValueError says so.
+    rounding and is skipped (``terms`` = 0); k*delta itself may leave the
+    double range there. Where |lambda| exceeds the double range, ValueError
+    says so; where it falls below the normal doubles, ``est_rel_err`` is inf.
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
@@ -287,24 +274,27 @@ def lambda_asymptotic(
     alpha = params.alpha
     delta = params.delta
     kd = k_mod * delta
-    if kd == math.inf:
-        raise ValueError(
-            f"k*delta overflows the double range: k={k_mod:g}, delta={delta:g}"
-        )
+    if kd < math.inf:
+        log_y = math.log(2.0 / kd)
+    else:
+        # k*delta left the double range, so only the tail branch below
+        # applies, and it needs log(k*delta) alone
+        log_y = _LOG2 - (math.log(k_mod) + math.log(delta))
 
     try:
-        part_a = _asy_part_a(d, alpha, kd)
+        part_a = _asy_part_a(d, alpha, log_y)
     except OverflowError:
         # alpha > d and (kd/2)^(alpha-d) left the double range; that needs
         # kd far beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
-        lam, est = _huge_gamma_part_in_logs(d, alpha, delta, kd)
-        return EvalResult(lam, "asymptotic", 0, est)
+        lam, est = _huge_gamma_part_in_logs(d, alpha, delta, log_y, kd)
+        return _asymptotic_result(lam, 0, est)
     c = _asy_constants(d, alpha)[1]
     if kd >= ASYMPTOTIC_TAIL_CUTOFF:
         # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
-        est = 1e-15 + _EPS * abs(alpha - d) * math.log(kd)
+        log_kd = math.log(kd) if kd < math.inf else _LOG2 - log_y
+        est = 1e-15 + _EPS * abs(alpha - d) * log_kd
         lam = _over_delta_squared(c, part_a, d, alpha, delta, kd)
-        return EvalResult(lam, "asymptotic", 0, est)
+        return _asymptotic_result(lam, 0, est)
     s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
     s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
     j1 = _k.bessel_j(d - 2, kd)
@@ -315,8 +305,8 @@ def lambda_asymptotic(
         * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
     )
     lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
-    result = EvalResult(
-        lam, "asymptotic", max(s1.order, s2.order), max(s1.est_rel_err, s2.est_rel_err) + 1e-15
+    result = _asymptotic_result(
+        lam, max(s1.order, s2.order), max(s1.est_rel_err, s2.est_rel_err) + 1e-15
     )
     if not (s1.converged and s2.converged):
         raise NonConvergenceError(

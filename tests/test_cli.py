@@ -77,8 +77,13 @@ class TestEval:
         assert "exceeds the double range" in capsys.readouterr().err
 
     def test_kdelta_overflow_exits_2(self, capsys):
-        assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1e10", "--k", "1e300") == 2
-        assert "k*delta overflows the double range" in capsys.readouterr().err
+        # k*delta = inf is computed in logarithms, so only a lambda beyond
+        # the double range (here ~ -1.1e569) exits 2
+        assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1e10", "--k", "1e300") == 0
+        lam = float(capsys.readouterr().out.strip().split(",")[5])
+        assert abs(lam + 1.8e-19) <= 1e-14 * 1.8e-19
+        assert run("eval", "--d", "1", "--alpha", "2.9", "--delta", "1e10", "--k", "1e300") == 2
+        assert "exceeds the double range" in capsys.readouterr().err
 
     def test_nonconvergence_exits_3(self, monkeypatch, capsys):
         import nlspectra.cli as climod

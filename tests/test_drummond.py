@@ -18,8 +18,6 @@ from nlspectra.drummond import (
     lommel_s,
 )
 from nlspectra.oracle import (
-    DrummondState,
-    drummond_2f0_approximants,
     drummond_generic,
     oracle_denominator_poly,
     oracle_drummond_bigfloat,
@@ -168,9 +166,9 @@ class TestTerminatingCap:
 @pytest.fixture
 def cold_tables():
     """Start and end the test with no coefficient table kept."""
-    _purepy._TABLES.clear()
-    yield _purepy._TABLES
-    _purepy._TABLES.clear()
+    _purepy._coefficient_table.cache_clear()
+    yield _purepy._coefficient_table
+    _purepy._coefficient_table.cache_clear()
 
 
 def _fixed(case, z, order):
@@ -223,7 +221,7 @@ class TestCoefficientTables:
     def test_cold_and_warm_tables_give_the_same_bits(self, case, cold_tables):
         cold = self.outcome(case)
         for warm in self.warmers(case):
-            cold_tables.clear()
+            cold_tables.cache_clear()
             warm()
             assert self.outcome(case) == cold, case
         # and with every warmer's rows in place at once
@@ -234,7 +232,8 @@ class TestCoefficientTables:
     def test_first_call_builds_only_the_orders_it_uses(self, cold_tables):
         _value, order, converged, _est = _purepy.drummond_2f0(1.0, 1.0, 8.0, 0, DEFAULT_TOL, 500)
         assert converged
-        (table,) = cold_tables.values()
+        assert cold_tables.cache_info().currsize == 1
+        table = cold_tables(1.0, 1.0, 0)
         assert len(table) == order - 1
         _purepy.drummond_2f0_fixed(1.0, 1.0, 9.0, 0, order + 10)
         assert [row[0] for row in table] == list(range(1, order + 10))
@@ -252,7 +251,7 @@ class TestCoefficientTables:
         sys.setswitchinterval(1e-5)  # switch threads often, inside table builds too
         try:
             for _ in range(40):
-                cold_tables.clear()
+                cold_tables.cache_clear()
                 results = [None] * 4
                 barrier = threading.Barrier(4)
 
@@ -270,7 +269,8 @@ class TestCoefficientTables:
                     assert not t.is_alive()
                 assert results == serial
                 # one row per order, none repeated or skipped
-                (table,) = cold_tables.values()
+                assert cold_tables.cache_info().currsize == 1
+                table = cold_tables(*case)
                 assert [row[0] for row in table] == list(range(1, len(table) + 1))
         finally:
             sys.setswitchinterval(interval)
@@ -278,7 +278,26 @@ class TestCoefficientTables:
     def test_number_of_tables_is_bounded(self, cold_tables):
         for i in range(_purepy._TABLES_KEPT + 5):
             _purepy.drummond_2f0(1.0 + i / 7, 0.5, 8.0, 0, DEFAULT_TOL, 500)
-        assert len(cold_tables) == _purepy._TABLES_KEPT
+        assert cold_tables.cache_info().currsize == _purepy._TABLES_KEPT
+
+    def test_least_recently_used_table_goes_first(self, cold_tables):
+        # the first table, used again after 7 newer ones, outlives the
+        # second when a ninth arrives
+        def resum(i):
+            _purepy.drummond_2f0(1.0 + i / 7, 0.5, 8.0, 0, DEFAULT_TOL, 500)
+
+        resum(0)
+        first = cold_tables(1.0, 0.5, 0)
+        resum(1)
+        second = cold_tables(1.0 + 1 / 7, 0.5, 0)
+        assert first and second
+        for i in range(2, _purepy._TABLES_KEPT):
+            resum(i)
+        resum(0)
+        resum(_purepy._TABLES_KEPT)
+        assert cold_tables.cache_info().currsize == _purepy._TABLES_KEPT
+        assert cold_tables(1.0, 0.5, 0) is first
+        assert cold_tables(1.0 + 1 / 7, 0.5, 0) is not second
 
 
 class TestDrummond2F0AtOrder:
@@ -332,33 +351,28 @@ class TestDrummond2F0AtOrder:
         assert checked >= 400
 
 
-class TestDrummondState:
-    def test_initial_conditions(self):
-        term = HypTerm2F0(0.5, 1.5, 6.0)
-        n = 1
-        state = DrummondState.start(term, n)
-        a = term.terms(n + 2)
-        s_n = sum(a[: n + 1])
-        assert state.D_prev == 1.0 / a[n + 1]
-        assert rel(state.N_prev, s_n / a[n + 1]) <= 1e-15
-        assert state.T_prev == s_n
-        # N^(1) = s_n D^(1) + a_{n+1}/a_{n+2}
-        a_full = term.terms(n + 3)
-        assert rel(state.N_cur, s_n * state.D_cur + a_full[n + 1] / a_full[n + 2]) <= 1e-15
+class TestApproximantsByOrder:
+    def test_match_the_bigfloat_oracle_per_order(self):
+        # orders 0 and 1 are the recurrence's start-up, n = 1 its offset form
+        terms = [
+            HypTerm2F0(1.0, 2.0, 10.0),
+            HypTerm2F0(0.5, 1.5, 6.0),
+            HypTerm2F0(complex(0.7, 0.4), complex(1.5, -0.3), complex(6.0, 2.0)),
+        ]
+        for term in terms:
+            for n in (0, 1):
+                for k in range(13):
+                    got = drummond_2f0_at_order(term, n, k)
+                    ref = oracle_drummond_bigfloat(term, n, k)
+                    assert rel(got, complex(ref)) <= 1e-14, (term, n, k)
 
-    def test_approximants_match_fixed_order(self):
-        term = HypTerm2F0(1.0, 2.0, 10.0)
-        for k, t in drummond_2f0_approximants(term, 0, 12):
-            assert rel(t, drummond_2f0_at_order(term, 0, k)) <= 1e-12
-
-    def test_denominators_nonzero_for_positive_parameters(self):
+    def test_finite_for_positive_parameters(self):
         # positive alpha, beta, z keep the denominator polynomials one-signed
         for z in [4.0, 8.0]:
             term = HypTerm2F0(0.5, 3.0, z)
-            state = DrummondState.start(term, 0)
-            for _ in range(12):
-                assert state.D_cur != 0
-                state.advance(term)
+            for n in (0, 1):
+                for k in range(13):
+                    assert math.isfinite(drummond_2f0_at_order(term, n, k)), (z, n, k)
 
 
 class TestDenominatorSignProperty:

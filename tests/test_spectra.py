@@ -6,6 +6,7 @@ from mpmath import mp
 from nlspectra import (
     KernelParams,
     NonConvergenceError,
+    _purepy,
     apply_to_fourier_coeffs,
     lambda_asymptotic,
     lambda_hybrid,
@@ -87,14 +88,21 @@ class TestStablePrefactor:
         with pytest.raises(ValueError):
             stable_prefactor(-1.0, 1.0, 1.5)
 
+    def test_same_bits_with_cold_and_warm_log_gamma_memo(self):
+        args = [(x, y, z) for x in (-0.75, 0.5, 2.0) for y in (0.01, 3.0) for z in (2.5, 5.0)]
+        _purepy._log_gamma_ratios.cache_clear()
+        cold = [stable_prefactor(*a) for a in args]
+        warm = [stable_prefactor(*a) for a in args]
+        assert [v.hex() for v in warm] == [v.hex() for v in cold]
+
 
 class TestAsymptoticGammaPart:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("kd", [6.0, 20.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("kd", [6.0, 20.0, 1e8, 1e52])
     def test_assembly_matches_unrearranged_form(self, d, kd):
         alpha = 0.0
         while alpha < d + 2 - 1e-9:
-            got = _asy_part_a(d, alpha, kd)
+            got = _asy_part_a(d, alpha, math.log(2.0 / kd))
             ref = oracle_asy_part_a(d, alpha, kd)
             scale = max(abs(float(ref)), 1e-3)
             assert abs(got - float(ref)) / scale <= 1e-12, (d, alpha, kd)
@@ -102,7 +110,7 @@ class TestAsymptoticGammaPart:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_limit_branch_at_alpha_d(self, d):
-        got = _asy_part_a(d, float(d), 9.0)
+        got = _asy_part_a(d, float(d), math.log(2.0 / 9.0))
         ref = oracle_asy_part_a(d, d, 9.0)
         assert rel(got, ref) <= 1e-12
 
@@ -138,6 +146,20 @@ class TestLambdaMaclaurin:
         res = info.value.result
         assert res.method == "maclaurin" and math.isnan(res.lam)
         assert res.est_rel_err == math.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_estimate_bounds_the_error(self, d):
+        # first omitted term plus the rounding of the alternating sum
+        kds = [0.01 * 3000 ** (i / 12) for i in range(13)]
+        for alpha in [0.0, d - 0.5, float(d), d + 1.9, d + 2 - 1e-9]:
+            params = KernelParams(d, alpha, 1.0)
+            for kd in kds:
+                ref = oracle_lambda_maclaurin(params, kd)
+                for tol in [10 * EPS, 1e-12, 1e-8]:
+                    res = lambda_maclaurin(params, kd, tol)
+                    with mp.workprec(256):
+                        err = abs((res.lam - ref) / ref)
+                    assert err <= res.est_rel_err, (alpha, kd, tol)
 
 
 class TestLambdaAsymptotic:
@@ -281,8 +303,57 @@ class TestDeltaSquaredRange:
             lambda_hybrid(KernelParams(3, 2.0, delta), 100.0 / delta)
 
     def test_kdelta_overflow_named(self):
-        with pytest.raises(ValueError, match=r"k\*delta overflows the double range"):
-            lambda_hybrid(KernelParams(3, 2.0, 1e10), 1e300)
+        # k*delta = inf is computed in logarithms; lambda ~ -1.1e569 is not
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            lambda_hybrid(KernelParams(1, 2.9, 1e10), 1e300)
+
+    @pytest.mark.parametrize(
+        "d,alpha,delta,k",
+        [
+            (3, 2.0, 1e170, 1e140),
+            (3, 2.0, 1e170, 1e130),
+            (1, 0.0, 1e200, 1e100),
+            (1, 2.9, 1.7e308, 1e162 / 1.7e308),
+            (3, 2.0, 1e300, 1.0),
+        ],
+    )
+    def test_lambda_below_normal_doubles_unestimated(self, d, alpha, delta, k):
+        # k*delta = inf, 1e300, 1e300, (kd/2)^(alpha-d) beyond the double
+        # range, and 1e300: a subnormal or zero lambda has lost its
+        # relative accuracy, and its estimate says so
+        with mp.workprec(256):
+            ref = (
+                2 * mp.gamma(mp.mpf(d) / 2 + 1) * (d + 2 - mp.mpf(alpha)) / mp.mpf(delta) ** 2
+                * oracle_asy_part_a(d, alpha, mp.mpf(k) * mp.mpf(delta))
+            )
+        assert 0 < abs(ref) < 2.2250738585072014e-308
+        res = lambda_hybrid(KernelParams(d, alpha, delta), k)
+        assert res.method == "asymptotic" and res.terms == 0
+        assert abs(res.lam) < 2.2250738585072014e-308
+        assert res.est_rel_err == math.inf
+
+    @pytest.mark.parametrize(
+        "d,alpha,delta,k,lam",
+        [
+            (3, 2.0, 1e10, 1e300, -1.8e-19),
+            (3, 3.0, 1e10, 1e300, -8.5605431339166683e-17),
+            (3, 0.0, 1e10, 1e300, -1.0e-19),
+            (3, 3.5, 1e150, 1e160, -1.5039769647786003e-144),
+            (3, 4.9, 1e150, 1e160, -1.1368881587585682e289),
+        ],
+    )
+    def test_overflowing_kdelta_in_logs(self, d, alpha, delta, k, lam):
+        # lam: the gamma-ratio part in mpmath at k*delta = 1e310
+        assert k * delta == math.inf
+        res = lambda_hybrid(KernelParams(d, alpha, delta), k)
+        assert res.method == "asymptotic" and res.terms == 0
+        assert rel(res.lam, lam) <= res.est_rel_err
+        with mp.workprec(256):
+            ref = (
+                2 * mp.gamma(mp.mpf(d) / 2 + 1) * (d + 2 - mp.mpf(alpha)) / mp.mpf(delta) ** 2
+                * oracle_asy_part_a(d, alpha, mp.mpf(k) * mp.mpf(delta))
+            )
+        assert rel(res.lam, ref) <= res.est_rel_err
 
 
 class TestLambdaHybrid:
