@@ -352,8 +352,6 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     d_prev = 1.0 / a
     n_prev = s * d_prev
     r = (alpha + n + 1.0) * (beta + n + 1.0)
-    if not early and r == 0:
-        return _nan_like(d_prev)
     d_cur = -(z / r + 1.0) * d_prev
     n_cur = s * d_cur - z / r
     n_prev2 = 0.0 * d_cur
@@ -373,10 +371,6 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
         if not rows:
             rows = (_coefficient_row(table, alpha, beta, n, k),)
         for k, lead, bmz, c, e in rows:
-            if lead == 0:
-                if early:
-                    return _stalled(t_cur, order, diff0, at_cur)
-                return _nan_like(d_cur)
             b = z + bmz + lead
             n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
             d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
@@ -415,8 +409,10 @@ def drummond_2f0(alpha, beta, z, n, tol, k_max):
     tolerance or at order k_max.
 
     Returns (value, order, converged, est_rel_err). Works for float or
-    complex parameters; terminating parameter values (alpha or beta a
-    nonpositive integer) must be screened by the caller.
+    complex parameters. The caller screens the arguments: z is nonzero and
+    finite, and neither alpha nor beta is a nonpositive integer (such a
+    series terminates and is summed exactly instead), so no recurrence
+    coefficient ``lead`` = (alpha+n+k+1)(beta+n+k+1) vanishes.
     """
     return _drummond_recurrence(alpha, beta, z, n, tol, k_max)
 
@@ -424,9 +420,10 @@ def drummond_2f0(alpha, beta, z, n, tol, k_max):
 def drummond_2f0_fixed(alpha, beta, z, n, order):
     """T_n^(order) by the same recurrence, no convergence exit.
 
-    Non-finite intermediates (poles of the approximant, z = 0) propagate
-    as NaN rather than raising.
+    A pole of the approximant comes back as NaN rather than raising. The
+    caller screens the arguments as for ``drummond_2f0``, except that a
+    terminating series (alpha or beta = -m) may come with order 0, for its
+    partial sum s_n, or with n + order < m: either way no term the
+    recurrence divides by and no coefficient ``lead`` vanishes.
     """
-    if z == 0:
-        return _nan_like(1.0 * alpha * beta * z)
     return _drummond_recurrence(alpha, beta, z, n, None, order)

@@ -197,6 +197,8 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     Reliable for x of a few and beyond (the eigenvalue formulas call it
     with x >= 6); raises NonConvergenceError, carrying the TransformResult,
     when the resummation cannot reach ``tol`` within ``DEFAULT_KMAX`` orders.
+    Near x = 6 the error can exceed the resummation's own estimate, by up
+    to two orders of magnitude; a terminal sum reports an estimate of 0.
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")

@@ -1,10 +1,11 @@
 """Reference implementations in extended precision and exact rationals.
 
-Everything here trades speed for trustworthiness: series are summed from
-their definitions with mpmath, and the denominator-polynomial expansion
-uses exact ``fractions.Fraction`` arithmetic. The test suite and the table
-command's error columns use these as ground truth; nothing on the fast
-path calls them.
+Everything here trades speed for trustworthiness: Bessel J and Lommel S
+come from mpmath, series are summed from their definitions with mpmath,
+and the denominator-polynomial expansion uses exact ``fractions.Fraction``
+arithmetic. The test suite and the table command's error columns use these
+as ground truth; nothing on the fast path calls them, and nothing here
+calls the kernels they check.
 
 The working-precision reference form of Drummond's transformation lives
 here as well: ``drummond_generic``, the O(k^2) finite-difference quotient
@@ -13,12 +14,13 @@ for arbitrary terms, the baseline of the recurrence's stability.
 ``BigReal`` values are mpmath floats carrying at least ``PRECISION_BITS``
 of significand. The finite-difference form of Drummond's transformation
 loses roughly one bit per order to numerator cancellation, so
-``oracle_drummond_bigfloat`` widens its working precision with the
-requested order instead of pinning 256 bits.
+``oracle_drummond_bigfloat`` runs ``drummond_generic`` at a working
+precision that widens with the requested order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,13 +35,12 @@ __all__ = [
     "oracle_gamma",
     "oracle_loggamma",
     "oracle_digamma",
-    "oracle_bessel_series",
+    "oracle_bessel_j",
     "oracle_lommel",
     "oracle_asy_part_a",
     "oracle_lambda_maclaurin",
     "oracle_closed_form_d1_a0",
     "oracle_drummond_bigfloat",
-    "oracle_drummond_reference",
     "oracle_denominator_poly",
     "drummond_generic",
 ]
@@ -66,40 +67,28 @@ def oracle_digamma(x) -> BigReal:
         return mp.digamma(mp.mpf(x))
 
 
-def oracle_bessel_series(nu, x) -> BigReal:
-    """J_nu(x) summed term by term from the ascending series.
-
-    Negative integer orders go through J_{-m} = (-1)^m J_m (the series
-    itself degenerates there).
-    """
-    if nu < 0 and nu == int(nu):
-        m = -int(nu)
-        sign = -1 if m % 2 else 1
-        return sign * oracle_bessel_series(m, x)
+def oracle_bessel_j(nu, x) -> BigReal:
+    """J_nu(x) by mpmath, negative integer orders included."""
     with mp.workprec(PRECISION_BITS):
-        nu = mp.mpf(nu)
-        x = mp.mpf(x)
-        q = -(x * x) / 4
-        term = mp.mpf(1)
-        s = mp.mpf(1)
-        stop = mp.mpf(2) ** -200
-        for j in range(1, 5001):
-            term *= q / (j * (nu + j))
-            s += term
-            if abs(term) < stop * abs(s):
-                return s * (x / 2) ** nu / mp.gamma(nu + 1)
-        raise RuntimeError(f"bessel oracle series did not converge (nu={nu}, x={x})")
+        return mp.besselj(mp.mpf(nu), mp.mpf(x))
+
+
+def _maclaurin_precision(kdelta: float) -> int:
+    # the alternating terms peak near e^(k delta) times the sum, so about
+    # k delta log2(e) bits cancel; 256 bits suffice up to k delta ~ 88
+    return max(PRECISION_BITS, int(kdelta * math.log2(math.e)) + 128)
 
 
 def oracle_lambda_maclaurin(params, k_mod) -> BigReal:
     """Ground-truth eigenvalue: the convergent series summed from its
     definition until terms drop below 2^-180 of the partial sum.
 
-    Tractable for k_mod * delta up to around 200.
+    The working precision grows with k_mod * delta to absorb the series'
+    cancellation. Tractable for k_mod * delta up to around 200.
     """
     if k_mod and k_mod * params.delta > 200.0:
         raise ValueError("oracle series length impractical beyond k*delta = 200")
-    with mp.workprec(PRECISION_BITS):
+    with mp.workprec(_maclaurin_precision(k_mod * params.delta)):
         if k_mod == 0:
             return mp.mpf(0)
         d = params.d
@@ -157,7 +146,7 @@ def _drummond_precision(k: int) -> int:
 
 
 def oracle_drummond_bigfloat(term: HypTerm2F0, n: int, k: int):
-    """T_n^(k) by the explicit finite-difference quotient in big floats.
+    """T_n^(k) by ``drummond_generic`` on the terms in big floats.
 
     Returns an mpf (mpc for complex parameters). A zero term among the
     difference weights means the series terminates; the exact terminal
@@ -167,68 +156,21 @@ def oracle_drummond_bigfloat(term: HypTerm2F0, n: int, k: int):
         raise ValueError("n and k must be nonnegative")
     if k > 2000:
         raise ValueError("order above 2000 is outside the oracle's remit")
-    complex_params = not term.is_real()
     with mp.workprec(_drummond_precision(k)):
-        if complex_params:
-            alpha, beta, z = mp.mpc(term.alpha), mp.mpc(term.beta), mp.mpc(term.z)
+        if term.is_real():
+            big = mp.mpf
+            params = (complex(p).real for p in (term.alpha, term.beta, term.z))
         else:
-            alpha = mp.mpf(complex(term.alpha).real)
-            beta = mp.mpf(complex(term.beta).real)
-            z = mp.mpf(complex(term.z).real)
-        terms = [mp.mpf(1) if not complex_params else mp.mpc(1)]
-        for j in range(n + k + 1):
-            terms.append(terms[-1] * (alpha + j) * (beta + j) / (-z))
-        ps = [terms[0]]
-        for t in terms[1:]:
-            ps.append(ps[-1] + t)
-        for j in range(k + 1):
-            if terms[n + j + 1] == 0:
-                return ps[n + j]
-        num = [ps[n + j] / terms[n + j + 1] for j in range(k + 1)]
-        den = [1 / terms[n + j + 1] for j in range(k + 1)]
-        for i in range(k):
-            for j in range(k - i):
-                num[j] = num[j + 1] - num[j]
-                den[j] = den[j + 1] - den[j]
-        return num[0] / den[0]
+            big = mp.mpc
+            params = (term.alpha, term.beta, term.z)
+        terms = HypTerm2F0(*map(big, params)).terms(n + k + 2)
+        return drummond_generic(terms, n, k)
 
 
-def oracle_drummond_reference(
-    term: HypTerm2F0,
-    n: int = 0,
-    order: int = 400,
-    consistency: float = 1e-30,
-):
-    """High-order antilimit with a verified self-consistency bound.
-
-    Evaluates T_n^(order) and T_n^(order-1); if their relative difference
-    exceeds ``consistency`` the order is raised (up to 2000) until it does
-    not, else RuntimeError.
-    """
-    k = order
-    while True:
-        t1 = oracle_drummond_bigfloat(term, n, k)
-        t0 = oracle_drummond_bigfloat(term, n, k - 1)
-        with mp.workprec(_drummond_precision(k)):
-            gap = abs(t1 - t0) / abs(t1)
-            if gap < mp.mpf(consistency):
-                return t1
-        if k >= 2000:
-            raise RuntimeError(
-                f"reference antilimit self-consistency {float(gap):.2e} "
-                f"did not reach {consistency} by order {k}"
-            )
-        k = min(2000, int(1.5 * k))
-
-
-def oracle_lommel(mu, nu, x, order: int = 200):
-    """S_{mu,nu}(x) by big-float resummation of its divergent expansion."""
-    term = HypTerm2F0(
-        alpha=0.5 * (1.0 - mu + nu), beta=0.5 * (1.0 - mu - nu), z=0.25 * x * x
-    )
-    t = oracle_drummond_bigfloat(term, 0, order)
-    with mp.workprec(_drummond_precision(order)):
-        return mp.mpf(x) ** (mp.mpf(mu) - 1) * t
+def oracle_lommel(mu, nu, x) -> BigReal:
+    """S_{mu,nu}(x) by mpmath."""
+    with mp.workprec(PRECISION_BITS):
+        return mp.lommels2(mp.mpf(mu), mp.mpf(nu), mp.mpf(x))
 
 
 def _poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ._backend import kernels as _k
@@ -107,12 +107,14 @@ class EvalResult:
 class SpectrumTable:
     """Eigenvalues over all achievable squared norms of a lattice block.
 
-    ``entries`` maps each m = |k|^2 to its eigenvalue, in ascending m.
+    ``entries`` maps each m = |k|^2 to its eigenvalue, in ascending m. Two
+    tables are equal when their parameters, kmax and entries are; a table is
+    not hashable.
     """
 
     params: KernelParams
     kmax: int
-    entries: dict[int, EvalResult] = field(compare=False)
+    entries: dict[int, EvalResult]
 
 
 _ZERO_RESULT = EvalResult(0.0, "zero", 0, 0.0)
@@ -261,7 +263,10 @@ def lambda_asymptotic(
     Combines the stabilized gamma-ratio part with a Bessel/Lommel part of
     orders tied to the dimension; the two Lommel factors are resummed
     divergent expansions, so ``terms`` reports the larger resummation order
-    and non-convergence propagates as NonConvergenceError. From
+    and non-convergence propagates as NonConvergenceError. ``est_rel_err``
+    carries the error of each part (the Lommel estimates, a bound on the
+    Bessel error, the rounding of the gamma-ratio part) through their sum,
+    so cancellation between the parts raises it. From
     k*delta = ASYMPTOTIC_TAIL_CUTOFF on, the Bessel/Lommel part is below
     rounding and is skipped (``terms`` = 0); k*delta itself may leave the
     double range there. Where |lambda| exceeds the double range, ValueError
@@ -299,15 +304,23 @@ def lambda_asymptotic(
     s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
     j1 = _k.bessel_j(d - 2, kd)
     j2 = _k.bessel_j(d - 4, kd)
-    part_b = (
-        2.0 ** (0.5 * d)
-        * kd ** (alpha + 1.0 - d)
-        * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
-    )
+    w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
+    part_b = w * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
     lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
-    result = _asymptotic_result(
-        lam, max(s1.order, s2.order), max(s1.est_rel_err, s2.est_rel_err) + 1e-15
+    # the absolute error of each part over |part_a + part_b|: part_a through
+    # the rounding of its exponent t, each Bessel-Lommel product through its
+    # Lommel estimate and an absolute error of J. Against mpmath, J errs by
+    # up to 122 eps sqrt(2/(pi kd)) where its ascending series cancels (kd
+    # up to 7) and by at most 7 beyond.
+    t = 0.0 if alpha == 0.0 else _k.gamma_part_exponent(0.5 * (d - alpha), log_y, 0.5 * d)
+    j_err = (128.0 if kd <= 7.0 else 8.0) * _EPS * math.sqrt(2.0 / (math.pi * kd))
+    err = abs(part_a) * 4.0 * _EPS * (1.0 + abs(t)) + abs(w) * (
+        abs((d - 2.0 - alpha) * s1.value) * (abs(j1) * (s1.est_rel_err + 2.0 * _EPS) + j_err)
+        + abs(s2.value) * (abs(j2) * (s2.est_rel_err + 2.0 * _EPS) + j_err)
     )
+    total = abs(part_a + part_b)
+    est = err / total + 4.0 * _EPS if total > 0.0 else math.inf
+    result = _asymptotic_result(lam, max(s1.order, s2.order), est)
     if not (s1.converged and s2.converged):
         raise NonConvergenceError(
             f"Lommel resummation stalled at k*delta={kd:g} "

@@ -6,9 +6,8 @@ import threading
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
-from nlspectra import NonConvergenceError, _purepy
+from nlspectra import KernelParams, NonConvergenceError, _purepy, lambda_asymptotic
 from nlspectra.drummond import (
     DEFAULT_KMAX,
     DEFAULT_TOL,
@@ -21,7 +20,6 @@ from nlspectra.oracle import (
     drummond_generic,
     oracle_denominator_poly,
     oracle_drummond_bigfloat,
-    oracle_drummond_reference,
     oracle_lommel,
 )
 
@@ -449,12 +447,71 @@ class TestNonFiniteArgument:
             lommel_s(mu, 0.5, 10.0)
 
 
-class TestReferenceAntilimit:
-    def test_self_consistency_met_by_escalation(self):
-        term = HypTerm2F0(1.0, 1.0, 8.0)
-        ref = oracle_drummond_reference(term, consistency=1e-30)
-        with mp.workprec(256):
-            # the order-400 value itself is converged to ~2e-27; the
-            # escalated reference agrees with it at that level
-            t400 = oracle_drummond_bigfloat(term, 0, 400)
-            assert abs((ref - t400) / ref) < 1e-26
+def _terminal_m(alpha, beta):
+    """m where alpha or beta is the nonpositive integer -m, else None."""
+    ms = [
+        -int(p.real)
+        for p in map(complex, (alpha, beta))
+        if p.imag == 0.0 and p.real <= 0.0 and p.real.is_integer()
+    ]
+    return min(ms, default=None)
+
+
+class TestKernelContract:
+    """The recurrence kernel trusts its wrappers: it never sees z = 0, an
+    early exit on a terminating series, or a fixed order >= 1 that reaches
+    the vanishing term of one."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        early, fixed = _purepy.drummond_2f0, _purepy.drummond_2f0_fixed
+
+        def checked_early(alpha, beta, z, n, tol, k_max):
+            assert z != 0 and _terminal_m(alpha, beta) is None, (alpha, beta, z)
+            calls.append("early")
+            return early(alpha, beta, z, n, tol, k_max)
+
+        def checked_fixed(alpha, beta, z, n, order):
+            m = _terminal_m(alpha, beta)
+            assert z != 0, (alpha, beta)
+            assert order == 0 or m is None or n + order < m, (alpha, beta, n, order)
+            calls.append("fixed" if order == 0 else "approximant")
+            return fixed(alpha, beta, z, n, order)
+
+        monkeypatch.setattr(_purepy, "drummond_2f0", checked_early)
+        monkeypatch.setattr(_purepy, "drummond_2f0_fixed", checked_fixed)
+        return calls
+
+    def test_drummond_entry_points(self, kernel_calls):
+        for p in [0.0, -1.0, -2.0, -3.0, -4.0]:
+            for other in [1.5, -2.0]:
+                for z in [2.5, complex(-4.0, 3.0)]:
+                    for term in (HypTerm2F0(p, other, z), HypTerm2F0(other, p, z)):
+                        for n in range(3):
+                            drummond_2f0(term, n)
+                            drummond_2f0(term, n, k_max=3)
+                            for order in range(7):
+                                drummond_2f0_at_order(term, n, order)
+                    for zero in (0.0, 0j):
+                        with pytest.raises(ValueError, match="z = 0"):
+                            drummond_2f0(HypTerm2F0(p, other, zero))
+                        with pytest.raises(ValueError, match="z = 0"):
+                            drummond_2f0_at_order(HypTerm2F0(p, other, zero), 1, 3)
+        # terminal sums, and approximants below the vanishing term
+        assert set(kernel_calls) == {"fixed", "approximant"}
+
+    def test_lommel_and_eigenvalue_routes(self, kernel_calls):
+        # mu = 1 + nu + 2j or 1 - nu + 2j makes a Lommel expansion terminate
+        for nu in [-0.5, 0.0, 1.5]:
+            for j in range(3):
+                for mu in (1.0 + nu + 2 * j, 1.0 - nu + 2 * j):
+                    lommel_s(mu, nu, 8.0)
+        # alpha = d - 2 - 2j makes (2-d+alpha)/2 or (4-d+alpha)/2 one
+        for d in range(1, 11):
+            for alpha in [0.0] + [d - 2.0 - 2 * j for j in range(d // 2)]:
+                if alpha >= 0.0:
+                    for kd in [6.0, 9.5, 30.0]:
+                        lambda_asymptotic(KernelParams(d, alpha, 1.0), kd)
+        # terminal sums, and resummations of the other expansion
+        assert set(kernel_calls) == {"fixed", "early"}

@@ -183,6 +183,20 @@ class TestLambdaAsymptotic:
         with pytest.raises(ValueError):
             lambda_asymptotic(KernelParams(3, 2.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_estimate_bounds_the_error(self, d):
+        # the parts' errors carried through part_a + part_b; k*delta spans
+        # the Bessel regimes up to the oracle's limit
+        kds = [6.0, 6.5, 7.0, 8.5, 10.0, 13.0, 17.0, 22.0, 30.0, 45.0, 70.0, 100.0, 140.0, 200.0]
+        for alpha in [0.0, d - 0.5, float(d), d + 1.9, d + 2 - 1e-9]:
+            params = KernelParams(d, alpha, 1.0)
+            for kd in kds:
+                res = lambda_asymptotic(params, kd)
+                ref = oracle_lambda_maclaurin(params, kd)
+                with mp.workprec(256):
+                    err = abs((res.lam - ref) / ref)
+                assert err <= res.est_rel_err, (alpha, kd)
+
     @pytest.mark.parametrize(
         "d,alpha", [(4, 0.0), (6, 0.0), (6, 2.0), (8, 2.0), (10, 0.0), (10, 4.0), (5, 1.0)]
     )
@@ -396,6 +410,19 @@ class TestLambdaHybrid:
                 asy = lambda_asymptotic(params, kd).lam
                 assert abs(mac - asy) <= 1e-9 * abs(mac), (d, alpha, kd)
 
+    def test_tol_is_honoured_on_a_lattice(self):
+        # every 50th squared norm of the d=3, kmax=64 lattice, both routes
+        params = KernelParams(3, 2.0, 0.1)
+        ms = achievable_squared_norms(3, 64)[1::50]
+        assert sum(math.sqrt(m) * params.delta >= HYBRID_SWITCH for m in ms) >= 100
+        for m in ms:
+            ref = oracle_lambda_maclaurin(params, math.sqrt(m))
+            for tol in [10 * EPS, 1e-12, 1e-8, 1e-5]:
+                res = lambda_hybrid(params, math.sqrt(m), tol)
+                with mp.workprec(256):
+                    err = abs((res.lam - ref) / ref)
+                assert err <= tol, (m, tol)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_laplacian_limit(self, d):
         for alpha in [0.5, 0.5 * d, d + 1.0]:
@@ -450,6 +477,14 @@ class TestLattice:
     def test_kmax_guard(self):
         with pytest.raises(ValueError):
             lattice_spectrum(KernelParams(2, 1.0, 1.0), 4097)
+
+    def test_tables_compare_their_entries(self):
+        params = KernelParams(3, 2.0, 1.0)
+        exact = lattice_spectrum(params, 4)
+        loose = lattice_spectrum(params, 4, tol=1e-3)
+        assert exact.entries[1].lam != loose.entries[1].lam
+        assert exact != loose
+        assert lattice_spectrum(params, 4, jobs=1) == lattice_spectrum(params, 4, jobs=2)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_entries_in_ascending_m(self, jobs):
