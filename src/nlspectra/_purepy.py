@@ -124,16 +124,20 @@ def _bessel_series(nu, x):
     raise RuntimeError(f"bessel series did not converge for nu={nu}, x={x}")
 
 
-def _bessel_int_miller(nu, x):
+def _bessel_int_miller(a, b, x):
     # Backward recurrence normalized by J_0 + 2*sum(J_{2m}) = 1; stable in
     # the band where both the series and the large-x expansion lose digits.
+    # One run gives (J_a, J_b). Every accepted order starts at
+    # m = int(x) + 40, so each has the bits of a run for its order alone.
     m = int(x) + 40
-    if m < nu + 20:
-        m = nu + 20
+    top = a if a > b else b
+    if m < top + 20:
+        m = top + 20
     bjp = 0.0
     bj = 1e-30
     total = 2.0 * bj if m % 2 == 0 else 0.0
-    res = bj if m == nu else 0.0
+    ra = bj if m == a else 0.0
+    rb = bj if m == b else 0.0
     while m > 0:
         bjm = (2.0 * m / x) * bj - bjp
         bjp = bj
@@ -143,19 +147,23 @@ def _bessel_int_miller(nu, x):
             bj *= 1e-150
             bjp *= 1e-150
             total *= 1e-150
-            res *= 1e-150
+            ra *= 1e-150
+            rb *= 1e-150
         if m == 0:
             total += bj
         elif m % 2 == 0:
             total += 2.0 * bj
-        if m == nu:
-            res = bj
-    return res / total
+        if m == a:
+            ra = bj
+        if m == b:
+            rb = bj
+    return ra / total, rb / total
 
 
-def _bessel_int_hankel(nu, x):
-    # Large-argument expansion. The phase x - (2nu+1)pi/4 is expanded with
-    # exact multiples of pi/4 so no accuracy is lost subtracting from large x.
+def _hankel_sum(nu, x, cx, sx):
+    # Large-argument expansion of J_nu(x) / sqrt(2/(pi x)). The phase
+    # x - (2nu+1)pi/4 is expanded with exact multiples of pi/4 so no
+    # accuracy is lost subtracting from large x; cx, sx are cos x, sin x.
     mu = 4.0 * nu * nu
     inv_x = 1.0 / x
     p = 1.0
@@ -187,35 +195,39 @@ def _bessel_int_hankel(nu, x):
         cph, sph = -_SQRT_HALF, -_SQRT_HALF
     else:
         cph, sph = _SQRT_HALF, -_SQRT_HALF
-    cx = math.cos(x)
-    sx = math.sin(x)
     cosw = cx * cph + sx * sph
     sinw = sx * cph - cx * sph
-    return math.sqrt(2.0 / (math.pi * x)) * (cosw * p - sinw * q)
+    return cosw * p - sinw * q
 
 
-def _bessel_int(nu, x):
+def _bessel_int(a, b, x):
+    # (J_a(x), J_b(x)) at nonnegative integer orders; b == a asks for one
     if x <= 7.0:
-        return _bessel_series(float(nu), x)
+        ja = _bessel_series(float(a), x)
+        return ja, ja if b == a else _bessel_series(float(b), x)
     if x < 28.0:
-        return _bessel_int_miller(nu, x)
-    return _bessel_int_hankel(nu, x)
+        return _bessel_int_miller(a, b, x)
+    amp = math.sqrt(2.0 / (math.pi * x))
+    cx = math.cos(x)
+    sx = math.sin(x)
+    ja = amp * _hankel_sum(a, x, cx, sx)
+    return ja, ja if b == a else amp * _hankel_sum(b, x, cx, sx)
 
 
-def _bessel_half(two_nu, x):
-    c = math.sqrt(2.0 / (math.pi * x))
+def _bessel_half(two_nu, c, cos_x, sin_x, x):
+    # J at a half-integer order from c = sqrt(2/(pi x)), cos x and sin x
     if two_nu == 1:
-        return c * math.sin(x)
+        return c * sin_x
     if two_nu == -1:
-        return c * math.cos(x)
+        return c * cos_x
     if two_nu == -3:
-        return c * (-math.cos(x) / x - math.sin(x))
+        return c * (-cos_x / x - sin_x)
     nu = 0.5 * two_nu
     if x < max(1.0, nu):
         # upward recurrence and the trig form both cancel badly here
         return _bessel_series(nu, x)
-    jm = c * math.cos(x)
-    jc = c * math.sin(x)
+    jm = c * cos_x
+    jc = c * sin_x
     order = 0.5
     for _ in range((two_nu - 1) // 2):
         jm, jc = jc, (2.0 * order / x) * jc - jm
@@ -223,17 +235,29 @@ def _bessel_half(two_nu, x):
     return jc
 
 
-def bessel_j(two_nu, x):
-    """J_nu(x) with the order passed as 2*nu (integer). The large-argument
-    regime ignores terms that matter from nu = 11 on, so callers keep
-    2*nu <= 21."""
+def bessel_j(two_nu, x, pair=False):
+    """J_nu(x) with the order passed as 2*nu (integer). With ``pair``, the
+    tuple (J_nu(x), J_{nu-1}(x)) from one evaluation that shares its
+    backward recurrence or trigonometric factors; each value has the bits
+    of its own single-order call. The large-argument regime ignores terms
+    that matter from nu = 11 on, and the half-integer forms hold from
+    nu = -3/2 up, so callers keep every order in -3/2..21/2."""
+    two_lo = two_nu - 2 if pair else two_nu
     if two_nu & 1:
-        return _bessel_half(two_nu, x)
+        c = math.sqrt(2.0 / (math.pi * x))
+        cos_x = math.cos(x)
+        sin_x = math.sin(x)
+        j = _bessel_half(two_nu, c, cos_x, sin_x, x)
+        return (j, _bessel_half(two_lo, c, cos_x, sin_x, x)) if pair else j
     nu = two_nu >> 1
-    if nu < 0:
-        val = _bessel_int(-nu, x)
-        return -val if nu & 1 else val
-    return _bessel_int(nu, x)
+    lo = two_lo >> 1
+    j, j_lo = _bessel_int(abs(nu), abs(lo), x)
+    # J_{-n} = (-1)^n J_n
+    if nu < 0 and nu & 1:
+        j = -j
+    if not pair:
+        return j
+    return j, -j_lo if lo < 0 and lo & 1 else j_lo
 
 
 @functools.lru_cache(maxsize=32)

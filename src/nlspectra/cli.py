@@ -37,14 +37,18 @@ PHASE_POINT_LIMIT = 4 * 10**6
 PHASE_ORDER_LIMIT = 5000
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _line_format(row) -> str:
+    """The %-format of one CSV line with the column types of ``row``:
+    floats at 17 significant digits, any other value as str()."""
+    return ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
 
 
 def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str) -> None:
-    """Write atomically: a partial file never replaces the target."""
+    """Write atomically: a partial file never replaces the target.
+
+    ``rows`` is a list of tuples that all have the column types of the
+    first; each CSV line is one format operation.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
@@ -54,8 +58,9 @@ def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str) -> None:
                 fh.write("\n")
             else:
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                if rows:
+                    line = _line_format(rows[0])
+                    fh.writelines(line % row for row in rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,7 +95,7 @@ def _cmd_eval(args) -> int:
     if args.format == "json":
         print(json.dumps(dict(zip(EIGENROW_FIELDS, row))))
     else:
-        print(",".join(_fmt(v) for v in row))
+        sys.stdout.write(_line_format(row) % row)
     return 0
 
 

@@ -139,6 +139,26 @@ def _resum(
     return value, terms, False, math.inf
 
 
+def _underflow_error(term: HypTerm2F0, n: int) -> ValueError:
+    """The error for a zero divisor in the recurrence of a series that does
+    not terminate: a term a_(n+1), or a coefficient
+    (alpha+n+k+1)(beta+n+k+1), underflowed to 0. The parameters within
+    1e-150 of a nonpositive integer are named as the cause."""
+    near = [
+        f"{name}={p!r}"
+        for name, p in (("alpha", term.alpha), ("beta", term.beta))
+        if abs(complex(p) - min(0, round(complex(p).real))) < 1e-150
+    ]
+    if near:
+        cause = " and ".join(near) + " within 1e-150 of a nonpositive integer"
+    else:
+        cause = f"z={term.z!r}"
+    return ValueError(
+        f"a term a_(n+1) or a recurrence coefficient (alpha+n+k+1)(beta+n+k+1) "
+        f"underflows to 0 at n={n} ({cause})"
+    )
+
+
 def _check_tol(tol: float) -> None:
     if not tol >= sys.float_info.epsilon:
         raise ValueError(f"tol must be >= machine epsilon, got {tol}")
@@ -164,7 +184,10 @@ def drummond_2f0(
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     args, m = _kernel_args(term, n, None)
-    value, order, converged, est = _resum(args, m, n, tol, k_max)
+    try:
+        value, order, converged, est = _resum(args, m, n, tol, k_max)
+    except ZeroDivisionError:
+        raise _underflow_error(term, n) from None
     return TransformResult(value, order, bool(converged), est)
 
 
@@ -176,7 +199,10 @@ def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
     if m is not None:
         # the terminal partial sum s_m is the kernel's prelude alone
         n, order = m, 0
-    return _k.drummond_2f0_fixed(*args, n, order)
+    try:
+        return _k.drummond_2f0_fixed(*args, n, order)
+    except ZeroDivisionError:
+        raise _underflow_error(term, n) from None
 
 
 def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:

@@ -187,20 +187,32 @@ def _asy_constants(d: int, alpha: float) -> tuple[float, float]:
     return _k.gamma(0.5 * d), 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
 
 
-def _asy_part_a(d: int, alpha: float, log_y: float) -> float:
-    """Gamma-ratio part of the asymptotic formula, stable through alpha = d.
+def _asy_gamma_part(d: int, alpha: float, log_y: float) -> tuple[float, float]:
+    """(part_a, t): the gamma-ratio part of the asymptotic formula, stable
+    through alpha = d, and the exponent t of its gamma ratio (0 at alpha = 0
+    and alpha = d).
 
-    With y = 2/(k*delta), equals
+    With y = 2/(k*delta), the part equals
            (kd/2)^(alpha-d) Gamma((d-alpha)/2) / Gamma(alpha/2)
            - 2 / ((d-alpha) Gamma(d/2)),
-    rewritten via f((d-alpha)/2, y, d/2) / Gamma(d/2) and taken from log y.
-    At alpha = 0 the first term vanishes against the Gamma(alpha/2) pole and
-    the second is returned directly.
+    rewritten via f((d-alpha)/2, y, d/2) / Gamma(d/2) = expm1(t) / x /
+    Gamma(d/2), x = (d-alpha)/2, and taken from log y. At alpha = 0 the
+    first term vanishes against the Gamma(alpha/2) pole and the second is
+    returned directly; at alpha = d, f takes its limit.
     """
     ghalf = _asy_constants(d, alpha)[0]
     if alpha == 0.0:
-        return -2.0 / (d * ghalf)
-    return _k.stable_prefactor(0.5 * (d - alpha), log_y, 0.5 * d) / ghalf
+        return -2.0 / (d * ghalf), 0.0
+    x = 0.5 * (d - alpha)
+    if x == 0.0:
+        return _k.stable_prefactor(x, log_y, 0.5 * d) / ghalf, 0.0
+    t = _k.gamma_part_exponent(x, log_y, 0.5 * d)
+    return math.expm1(t) / x / ghalf, t
+
+
+def _asy_part_a(d: int, alpha: float, log_y: float) -> float:
+    """The gamma-ratio part alone; see ``_asy_gamma_part``."""
+    return _asy_gamma_part(d, alpha, log_y)[0]
 
 
 def _huge_gamma_part_in_logs(
@@ -287,7 +299,7 @@ def lambda_asymptotic(
         log_y = _LOG2 - (math.log(k_mod) + math.log(delta))
 
     try:
-        part_a = _asy_part_a(d, alpha, log_y)
+        part_a, t = _asy_gamma_part(d, alpha, log_y)
     except OverflowError:
         # alpha > d and (kd/2)^(alpha-d) left the double range; that needs
         # kd far beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
@@ -302,8 +314,7 @@ def lambda_asymptotic(
         return _asymptotic_result(lam, 0, est)
     s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
     s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
-    j1 = _k.bessel_j(d - 2, kd)
-    j2 = _k.bessel_j(d - 4, kd)
+    j1, j2 = _k.bessel_j(d - 2, kd, pair=True)
     w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
     part_b = w * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
     lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
@@ -312,7 +323,6 @@ def lambda_asymptotic(
     # Lommel estimate and an absolute error of J. Against mpmath, J errs by
     # up to 122 eps sqrt(2/(pi kd)) where its ascending series cancels (kd
     # up to 7) and by at most 7 beyond.
-    t = 0.0 if alpha == 0.0 else _k.gamma_part_exponent(0.5 * (d - alpha), log_y, 0.5 * d)
     j_err = (128.0 if kd <= 7.0 else 8.0) * _EPS * math.sqrt(2.0 / (math.pi * kd))
     err = abs(part_a) * 4.0 * _EPS * (1.0 + abs(t)) + abs(w) * (
         abs((d - 2.0 - alpha) * s1.value) * (abs(j1) * (s1.est_rel_err + 2.0 * _EPS) + j_err)
@@ -350,8 +360,13 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     """All m = k_1^2 + ... + k_d^2 with each |k_i| <= kmax, ascending.
 
     Computed coordinate by coordinate as a bitset convolution, never by
-    enumerating the (2*kmax+1)^d lattice points.
+    enumerating the (2*kmax+1)^d lattice points; the set bits are read in
+    one scan of the bitset's binary digits.
     """
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     squares = [j * j for j in range(kmax + 1)]
@@ -363,19 +378,8 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
         for s in squares:
             nxt |= acc << s
         acc = nxt
-    out = []
-    m = 0
-    while acc:
-        if acc & 1:
-            out.append(m)
-        tz = (acc & -acc).bit_length() - 1
-        if tz == 0:
-            acc >>= 1
-            m += 1
-        else:
-            acc >>= tz
-            m += tz
-    return out
+    # digit m of the reversed binary string is bit m
+    return [m for m, bit in enumerate(bin(acc)[:1:-1]) if bit == "1"]
 
 
 def lattice_spectrum(

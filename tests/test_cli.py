@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from nlspectra import NonConvergenceError
-from nlspectra.cli import _build_parser, main
+from nlspectra.cli import _build_parser, _write_rows, main
 from nlspectra.oracle import oracle_closed_form_d1_a0, oracle_drummond_bigfloat
 from nlspectra import HypTerm2F0
 
@@ -313,6 +313,18 @@ class TestPhase:
         assert len(rows) == 4
         assert all(math.isnan(float(r["re_T"])) and math.isnan(float(r["im_T"])) for r in rows)
 
+    def test_underflowing_parameters_give_nan_rows(self, tmp_path):
+        # a_1 = alpha beta / (-z) underflows to 0: a ValueError, so NaN rows
+        out = tmp_path / "p.csv"
+        assert (
+            run("phase", "--alpha", "1e-200", "--beta", "1e-200", "--order", "5",
+                "--re-min", "1", "--re-max", "2", "--im-min", "0", "--im-max", "1",
+                "--nx", "2", "--ny", "1", "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(math.isnan(float(r["re_T"])) and math.isnan(float(r["im_T"])) for r in rows)
+
     def test_order_guard_exits_2(self, tmp_path):
         out = tmp_path / "p.csv"
         assert (
@@ -320,6 +332,36 @@ class TestPhase:
                 "--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1",
                 "--nx", "2", "--ny", "2", "--out", str(out)) == 2
         )
+
+
+class TestWriteRows:
+    HEADER = ("i", "flag", "name", "blank", "x", "y")
+    # every row has the column types of the first, as the subcommands build them
+    ROWS = [
+        (3, True, "asymptotic", "", math.inf, -0.0),
+        (-7, False, "zero", "", -math.inf, 5e-324),
+        (2**60, True, "maclaurin", "", math.nan, 2.0**53 + 2),
+        (0, False, "", "", 0.1, -1.5e300),
+    ]
+
+    def test_csv_matches_per_value_formatting(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        _write_rows(str(out), self.HEADER, self.ROWS, "csv")
+        lines = [",".join(self.HEADER)]
+        for row in self.ROWS:
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_json_unchanged(self, tmp_path):
+        out = tmp_path / "rows.json"
+        _write_rows(str(out), self.HEADER, self.ROWS, "json")
+        records = [dict(zip(self.HEADER, row)) for row in self.ROWS]
+        assert out.read_text() == json.dumps(records, indent=1) + "\n"
+
+    def test_no_rows_gives_the_header_alone(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        _write_rows(str(out), self.HEADER, [], "csv")
+        assert out.read_text() == ",".join(self.HEADER) + "\n"
 
 
 def test_cli_import_loads_no_oracle_or_pool():

@@ -120,6 +120,25 @@ class TestDrummond2F0:
         with pytest.raises(ValueError):
             drummond_2f0(HypTerm2F0(1.0, 1.0, 8.0), k_max=1)
 
+    @pytest.mark.parametrize(
+        "term, cause",
+        [
+            (
+                HypTerm2F0(complex(-1, 1e-200), complex(-1, 1e-200), 2.0),
+                "alpha=(-1+1e-200j) and beta=(-1+1e-200j) within 1e-150 of a nonpositive integer",
+            ),
+            (HypTerm2F0(1e-200, 1e-160, 2.0), "alpha=1e-200 and beta=1e-160 within 1e-150"),
+            (HypTerm2F0(1e-10, 1e-10, 1e308), "z=1e+308"),
+        ],
+    )
+    def test_underflow_to_a_zero_divisor_is_a_value_error(self, term, cause):
+        # a_(n+1) or (alpha+n+k+1)(beta+n+k+1) underflows to 0 though the
+        # series does not terminate; this used to be a bare ZeroDivisionError
+        for call in (lambda: drummond_2f0(term), lambda: drummond_2f0_at_order(term, 0, 5)):
+            with pytest.raises(ValueError, match="underflows to 0") as info:
+                call()
+            assert cause in str(info.value)
+
     def test_nonconvergence_flagged_not_raised(self):
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged

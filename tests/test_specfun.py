@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nlspectra._backend import kernels
 from nlspectra._purepy import LANCZOS_C, LANCZOS_G
 from nlspectra.specfun import bessel_j, digamma, gamma, log_gamma_ratio
 from nlspectra.oracle import (
@@ -178,6 +179,17 @@ class TestBesselJ:
         jp = bessel_j(nu + 1.0, x)
         resid = abs(jm + jp - (2.0 * nu / x) * jc)
         assert resid <= 1e-12 * max(abs(jm), abs(jc), abs(jp))
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize(
+        "x", [6.0, 7.0, math.nextafter(7.0, 8.0), 27.99, 28.0, 45.0, 1e3, 1e5]
+    )
+    def test_pair_has_the_bits_of_two_single_orders(self, d, x):
+        # lambda_asymptotic takes J at 2nu = d-2 and d-4 from one kernel call
+        pair = kernels.bessel_j(d - 2, x, pair=True)
+        singles = (kernels.bessel_j(d - 2, x), kernels.bessel_j(d - 4, x))
+        assert [v.hex() for v in pair] == [v.hex() for v in singles]
+        assert singles == (bessel_j(0.5 * d - 1.0, x), bessel_j(0.5 * d - 2.0, x))
 
     def test_negative_integer_reflection(self):
         assert bessel_j(-1.0, 3.7) == -bessel_j(1.0, 3.7)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -454,6 +455,39 @@ class TestLattice:
             }
         )
         assert got == brute == [0, 1, 2, 3, 4, 5, 6, 8, 9, 12]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_achievable_matches_enumeration(self, d):
+        for kmax in range(9):
+            squares = [j * j for j in range(kmax + 1)]
+            brute = sorted({sum(c) for c in itertools.product(squares, repeat=d)})
+            assert achievable_squared_norms(d, kmax) == brute, (d, kmax)
+
+    def test_achievable_benchmark_lattice_sizes(self):
+        assert len(achievable_squared_norms(3, 64)) == 8041
+        assert len(achievable_squared_norms(2, 128)) == 5924
+
+    @pytest.mark.parametrize("d", [0, -1, True, 2.0])
+    def test_achievable_rejects_a_d_below_one_or_not_integer(self, d):
+        # d = 0 and d = -1 used to give the d = 1 answer
+        with pytest.raises(ValueError, match="d must be"):
+            achievable_squared_norms(d, 3)
+
+    @pytest.mark.parametrize(
+        "d, alpha, delta, kmax",
+        # k*delta reaches 28 and beyond, so every Bessel regime is crossed
+        [(1, 0.5, 0.6, 60), (2, 3.9, 0.8, 40), (3, 2.0, 2.0, 12), (4, 4.0, 4.0, 6),
+         (5, 1.0, 5.0, 5)],
+    )
+    def test_spectrum_entries_are_single_evaluations(self, d, alpha, delta, kmax):
+        params = KernelParams(d, alpha, delta)
+        table = lattice_spectrum(params, kmax)
+        assert max(table.entries) * delta * delta >= 28.0**2
+        for m, res in table.entries.items():
+            one = lambda_hybrid(params, math.sqrt(m))
+            assert (res.lam.hex(), res.method, res.terms, res.est_rel_err.hex()) == (
+                one.lam.hex(), one.method, one.terms, one.est_rel_err.hex()
+            ), m
 
     def test_spectrum_d2_kmax1(self):
         table = lattice_spectrum(KernelParams(2, 1.0, 0.5), 1)
