@@ -14,8 +14,7 @@ The numerical kernels live in ``nlspectra._purepy``, one implementation in
 pure Python; ``BACKEND`` names it (``"python"``).
 
 The names below are the package's public surface; everything else is
-importable from its submodule (``specfun``, ``drummond``, ``spectra``,
-``oracle``).
+importable from its submodule (``drummond``, ``spectra``, ``oracle``).
 """
 
 from ._backend import BACKEND

@@ -1,14 +1,14 @@
-"""Evaluation kernels: gamma family, Bessel J, the Maclaurin series and the
-Drummond recurrence.
+"""Evaluation kernels: gamma, log-gamma ratio, digamma, Bessel J, the
+Maclaurin series and the Drummond recurrence.
 
-The only implementation of the numerics; the public wrappers in ``specfun``,
-``drummond`` and ``spectra`` reach it through ``nlspectra._backend.kernels``.
-Functions here assume their arguments were already validated by those
-wrappers.
+The only implementation of the numerics; ``drummond`` and ``spectra`` reach
+it through ``nlspectra._backend.kernels``. Functions here assume their
+arguments were already validated by those modules.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -241,7 +241,8 @@ def bessel_j(two_nu, x, pair=False):
     backward recurrence or trigonometric factors; each value has the bits
     of its own single-order call. The large-argument regime ignores terms
     that matter from nu = 11 on, and the half-integer forms hold from
-    nu = -3/2 up, so callers keep every order in -3/2..21/2."""
+    nu = -3/2 up; the tests verify orders -3/2..21/2, and the d <= 10 of
+    ``KernelParams`` keeps the eigenvalue routes at -3/2..4."""
     two_lo = two_nu - 2 if pair else two_nu
     if two_nu & 1:
         c = math.sqrt(2.0 / (math.pi * x))
@@ -275,11 +276,13 @@ def gamma_part_exponent(x, log_y, z):
 
 
 def stable_prefactor(x, log_y, z):
-    # f(x, y, z) = [y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x) - 1] / x from
-    # log y, with the removable singularity at x = 0 evaluated exactly.
+    # (f, t): f(x, y, z) = [y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x) - 1] / x
+    # = expm1(t) / x from log y, t the exponent of the gamma ratio; at x = 0
+    # the removable singularity is evaluated exactly and t = 0.
     if x == 0.0:
-        return 2.0 * log_y - EULER_GAMMA + digamma(z)
-    return math.expm1(gamma_part_exponent(x, log_y, z)) / x
+        return 2.0 * log_y - EULER_GAMMA + digamma(z), 0.0
+    t = gamma_part_exponent(x, log_y, z)
+    return math.expm1(t) / x, t
 
 
 def maclaurin_lambda(d, alpha, k, delta, tol, cap):
@@ -377,6 +380,10 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     n_prev = s * d_prev
     r = (alpha + n + 1.0) * (beta + n + 1.0)
     d_cur = -(z / r + 1.0) * d_prev
+    if not cmath.isfinite(d_cur):
+        # 1/a_(n+1) or D^(1) overflowed, so every approximant would be NaN:
+        # as good as a zero divisor
+        raise ZeroDivisionError("no finite start for the recurrence")
     n_cur = s * d_cur - z / r
     n_prev2 = 0.0 * d_cur
     d_prev2 = 0.0 * d_cur

@@ -140,10 +140,11 @@ def _resum(
 
 
 def _underflow_error(term: HypTerm2F0, n: int) -> ValueError:
-    """The error for a zero divisor in the recurrence of a series that does
-    not terminate: a term a_(n+1), or a coefficient
-    (alpha+n+k+1)(beta+n+k+1), underflowed to 0. The parameters within
-    1e-150 of a nonpositive integer are named as the cause."""
+    """The error for a recurrence of a series that does not terminate and
+    has no finite start: a term a_(n+1), or a coefficient
+    (alpha+n+k+1)(beta+n+k+1), underflowed to 0, or 1/a_(n+1) or the first
+    denominator overflowed. The parameters within 1e-150 of a nonpositive
+    integer are named as the cause, or else z."""
     near = [
         f"{name}={p!r}"
         for name, p in (("alpha", term.alpha), ("beta", term.beta))
@@ -155,7 +156,8 @@ def _underflow_error(term: HypTerm2F0, n: int) -> ValueError:
         cause = f"z={term.z!r}"
     return ValueError(
         f"a term a_(n+1) or a recurrence coefficient (alpha+n+k+1)(beta+n+k+1) "
-        f"underflows to 0 at n={n} ({cause})"
+        f"underflows to 0, or 1/a_(n+1) or the first denominator overflows, "
+        f"at n={n} ({cause})"
     )
 
 

@@ -129,6 +129,11 @@ class TestDrummond2F0:
             ),
             (HypTerm2F0(1e-200, 1e-160, 2.0), "alpha=1e-200 and beta=1e-160 within 1e-150"),
             (HypTerm2F0(1e-10, 1e-10, 1e308), "z=1e+308"),
+            # a subnormal a_(n+1), so 1/a_(n+1) is inf
+            (HypTerm2F0(1e-310, 0.5, 2.0), "alpha=1e-310 within 1e-150"),
+            (HypTerm2F0(1e-200, 1e-120, 2.0), "alpha=1e-200 within 1e-150"),
+            # 1/a_(n+1) is finite, the first denominator overflows
+            (HypTerm2F0(0.5, 0.5, 1e200), "z=1e+200"),
         ],
     )
     def test_underflow_to_a_zero_divisor_is_a_value_error(self, term, cause):

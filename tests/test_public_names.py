@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-MODULES = ["nlspectra", "nlspectra.specfun", "nlspectra.drummond", "nlspectra.spectra", "nlspectra.oracle"]
+MODULES = ["nlspectra", "nlspectra.drummond", "nlspectra.spectra", "nlspectra.oracle"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -15,6 +15,7 @@ from nlspectra import (
     lattice_spectrum,
     spectra,
 )
+from nlspectra._backend import kernels
 from nlspectra.oracle import (
     oracle_asy_part_a,
     oracle_closed_form_d1_a0,
@@ -24,9 +25,8 @@ from nlspectra.oracle import (
 from nlspectra.spectra import (
     ASYMPTOTIC_TAIL_CUTOFF,
     HYBRID_SWITCH,
-    _asy_part_a,
+    _asy_gamma_part,
     achievable_squared_norms,
-    stable_prefactor,
 )
 
 EPS = 2.220446049250313e-16
@@ -62,38 +62,37 @@ class TestKernelParams:
 
 
 class TestStablePrefactor:
+    """The kernel's f(x, y, z), taken from log y, and its exponent t."""
+
+    @staticmethod
+    def f(x, y, z):
+        return kernels.stable_prefactor(x, math.log(y), z)[0]
+
     def test_limit_value_at_x_zero(self):
         ref = 2.0 * math.log(3.0) + float(oracle_digamma(1.0) + oracle_digamma(1.5))
-        assert rel(stable_prefactor(0.0, 3.0, 1.5), ref) <= 1e-13
+        assert rel(self.f(0.0, 3.0, 1.5), ref) <= 1e-13
+        assert kernels.stable_prefactor(0.0, math.log(3.0), 1.5)[1] == 0.0
 
     def test_half_integer_point(self):
-        # Gamma(1.5)/Gamma(0.5) = 1/2 gives (1/2 - 1)/(1/2) = -1
-        assert rel(stable_prefactor(0.5, 1.0, 1.0), -1.0) <= 1e-14
+        # Gamma(1.5)/Gamma(0.5) = 1/2 gives (1/2 - 1)/(1/2) = -1, t = log(1/2)
+        f, t = kernels.stable_prefactor(0.5, 0.0, 1.0)
+        assert rel(f, -1.0) <= 1e-14
+        assert rel(t, -math.log(2.0)) <= 1e-14
 
     def test_continuous_through_zero(self):
         for y in [0.3, 2.0, 7.0]:
             for z in [0.5, 1.5, 4.0]:
-                a = stable_prefactor(1e-9, y, z)
-                b = stable_prefactor(0.0, y, z)
+                a = self.f(1e-9, y, z)
+                b = self.f(0.0, y, z)
                 assert abs(a - b) <= 1e-7
                 # the true x = 1e-9 value differs from the limit by O(1e-9)
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(b)) + 1e-8
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            stable_prefactor(0.1, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            stable_prefactor(0.1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            stable_prefactor(1.5, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            stable_prefactor(-1.0, 1.0, 1.5)
-
     def test_same_bits_with_cold_and_warm_log_gamma_memo(self):
         args = [(x, y, z) for x in (-0.75, 0.5, 2.0) for y in (0.01, 3.0) for z in (2.5, 5.0)]
         _purepy._log_gamma_ratios.cache_clear()
-        cold = [stable_prefactor(*a) for a in args]
-        warm = [stable_prefactor(*a) for a in args]
+        cold = [self.f(*a) for a in args]
+        warm = [self.f(*a) for a in args]
         assert [v.hex() for v in warm] == [v.hex() for v in cold]
 
 
@@ -103,7 +102,7 @@ class TestAsymptoticGammaPart:
     def test_assembly_matches_unrearranged_form(self, d, kd):
         alpha = 0.0
         while alpha < d + 2 - 1e-9:
-            got = _asy_part_a(d, alpha, math.log(2.0 / kd))
+            got = _asy_gamma_part(d, alpha, math.log(2.0 / kd))[0]
             ref = oracle_asy_part_a(d, alpha, kd)
             scale = max(abs(float(ref)), 1e-3)
             assert abs(got - float(ref)) / scale <= 1e-12, (d, alpha, kd)
@@ -111,7 +110,7 @@ class TestAsymptoticGammaPart:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_limit_branch_at_alpha_d(self, d):
-        got = _asy_part_a(d, float(d), math.log(2.0 / 9.0))
+        got = _asy_gamma_part(d, float(d), math.log(2.0 / 9.0))[0]
         ref = oracle_asy_part_a(d, d, 9.0)
         assert rel(got, ref) <= 1e-12
 
@@ -512,6 +511,11 @@ class TestLattice:
         with pytest.raises(ValueError):
             lattice_spectrum(KernelParams(2, 1.0, 1.0), 4097)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            lattice_spectrum(KernelParams(2, 1.0, 1.0), 2, jobs=jobs)
+
     def test_tables_compare_their_entries(self):
         params = KernelParams(3, 2.0, 1.0)
         exact = lattice_spectrum(params, 4)
@@ -559,3 +563,12 @@ class TestApplyToFourierCoeffs:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), {(1, 0, 0): 1.0 + 0j})
+
+    def test_non_integral_wavevector_rejected(self):
+        # truncated to (1, 0), (1.5, 0) would be overwritten by (1, 0)'s own
+        # amplitude
+        params = KernelParams(2, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"wavevector \(1\.5, 0\) has a non-integral"):
+            apply_to_fourier_coeffs(params, {(1.5, 0): 1.0, (1, 0): 2.0})
+        out = apply_to_fourier_coeffs(params, {(2.0, 0): 1.0})
+        assert out == {(2, 0): lambda_hybrid(params, 2.0).lam}
