@@ -110,36 +110,26 @@ def digamma(x):
     return acc + math.log(x) - 0.5 / x - w * t
 
 
-def _bessel_series(nu, x):
-    # Frobenius series; safe whenever x is small enough that the terms do
-    # not grow far above the result (callers enforce that regime).
-    q = -0.25 * x * x
-    term = 1.0
-    s = 1.0
-    for j in range(1, 201):
-        term *= q / (j * (nu + j))
-        s += term
-        if abs(term) <= 1e-17 * abs(s):
-            return s * (0.5 * x) ** nu / gamma(nu + 1.0)
-    raise RuntimeError(f"bessel series did not converge for nu={nu}, x={x}")
-
-
-def _bessel_int_miller(a, b, x):
-    # Backward recurrence normalized by J_0 + 2*sum(J_{2m}) = 1; stable in
-    # the band where both the series and the large-x expansion lose digits.
-    # One run gives (J_a, J_b). Every accepted order starts at
-    # m = int(x) + 40, so each has the bits of a run for its order alone.
+def _bessel_backward(two_nu, x):
+    # (J_nu(x), J_{nu-1}(x)) for 2nu >= 2 by Miller's backward recurrence,
+    # stable for the minimal solution at every x (Gautschi, SIAM Rev. 9
+    # (1967) 24; DLMF 10.74(iv)). The run starts at order int(x) + 40, or 20
+    # above nu, plus the half of a half-integer order, so each value has the
+    # bits of a run for its order alone. Integer orders are normalized by
+    # J_0 + 2*sum(J_{2m}) = 1; half-integer ones run on to order -1/2 and are
+    # scaled to the larger of J_{1/2} = c sin x and J_{-1/2} = c cos x.
+    half = 0.5 * (two_nu & 1)
+    top = two_nu >> 1
     m = int(x) + 40
-    top = a if a > b else b
     if m < top + 20:
         m = top + 20
+    stop = -1 if half else 0
     bjp = 0.0
     bj = 1e-30
-    total = 2.0 * bj if m % 2 == 0 else 0.0
-    ra = bj if m == a else 0.0
-    rb = bj if m == b else 0.0
-    while m > 0:
-        bjm = (2.0 * m / x) * bj - bjp
+    total = 2.0 * bj if m % 2 == 0 and not half else 0.0
+    ra = rb = 0.0
+    while m > stop:
+        bjm = (2.0 * (m + half) / x) * bj - bjp
         bjp = bj
         bj = bjm
         m -= 1
@@ -149,15 +139,20 @@ def _bessel_int_miller(a, b, x):
             total *= 1e-150
             ra *= 1e-150
             rb *= 1e-150
-        if m == 0:
-            total += bj
-        elif m % 2 == 0:
-            total += 2.0 * bj
-        if m == a:
+        if m % 2 == 0 and not half:
+            total += bj if m == 0 else 2.0 * bj
+        if m == top:
             ra = bj
-        if m == b:
+        elif m == top - 1:
             rb = bj
-    return ra / total, rb / total
+    if not half:
+        return ra / total, rb / total
+    # bjp and bj now hold orders 1/2 and -1/2
+    c = math.sqrt(2.0 / (math.pi * x))
+    sin_x = math.sin(x)
+    cos_x = math.cos(x)
+    scale = c * sin_x / bjp if abs(sin_x) >= abs(cos_x) else c * cos_x / bj
+    return ra * scale, rb * scale
 
 
 def _hankel_sum(nu, x, cx, sx):
@@ -200,65 +195,43 @@ def _hankel_sum(nu, x, cx, sx):
     return cosw * p - sinw * q
 
 
-def _bessel_int(a, b, x):
-    # (J_a(x), J_b(x)) at nonnegative integer orders; b == a asks for one
-    if x <= 7.0:
-        ja = _bessel_series(float(a), x)
-        return ja, ja if b == a else _bessel_series(float(b), x)
-    if x < 28.0:
-        return _bessel_int_miller(a, b, x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    cx = math.cos(x)
-    sx = math.sin(x)
-    ja = amp * _hankel_sum(a, x, cx, sx)
-    return ja, ja if b == a else amp * _hankel_sum(b, x, cx, sx)
-
-
-def _bessel_half(two_nu, c, cos_x, sin_x, x):
-    # J at a half-integer order from c = sqrt(2/(pi x)), cos x and sin x
-    if two_nu == 1:
-        return c * sin_x
-    if two_nu == -1:
-        return c * cos_x
-    if two_nu == -3:
-        return c * (-cos_x / x - sin_x)
-    nu = 0.5 * two_nu
-    if x < max(1.0, nu):
-        # upward recurrence and the trig form both cancel badly here
-        return _bessel_series(nu, x)
-    jm = c * cos_x
-    jc = c * sin_x
-    order = 0.5
-    for _ in range((two_nu - 1) // 2):
-        jm, jc = jc, (2.0 * order / x) * jc - jm
-        order += 1.0
-    return jc
-
-
-def bessel_j(two_nu, x, pair=False):
-    """J_nu(x) with the order passed as 2*nu (integer). With ``pair``, the
-    tuple (J_nu(x), J_{nu-1}(x)) from one evaluation that shares its
-    backward recurrence or trigonometric factors; each value has the bits
-    of its own single-order call. The large-argument regime ignores terms
-    that matter from nu = 11 on, and the half-integer forms hold from
-    nu = -3/2 up; the tests verify orders -3/2..21/2, and the d <= 10 of
-    ``KernelParams`` keeps the eigenvalue routes at -3/2..4."""
-    two_lo = two_nu - 2 if pair else two_nu
+def bessel_j(two_nu, x):
+    """(J_nu(x), J_{nu-1}(x)) with the order passed as 2*nu (integer),
+    2*nu >= -1: the two adjacent orders the asymptotic route needs, from one
+    evaluation. Half-integer orders come from sqrt(2/(pi x)), cos x, sin x
+    and the upward recurrence, except where that cancels (2*nu >= 3 and
+    x < max(1, nu)); integer orders from x = 28 come from the large-argument
+    expansion; every other case from one backward recurrence. The
+    large-argument regime ignores terms that matter from nu = 11 on; the
+    tests verify 2*nu = -1..21, and the d <= 10 of ``KernelParams`` keeps
+    the eigenvalue routes at 2*nu = -1..8."""
     if two_nu & 1:
+        if two_nu >= 3 and x < max(1.0, 0.5 * two_nu):
+            return _bessel_backward(two_nu, x)
         c = math.sqrt(2.0 / (math.pi * x))
         cos_x = math.cos(x)
         sin_x = math.sin(x)
-        j = _bessel_half(two_nu, c, cos_x, sin_x, x)
-        return (j, _bessel_half(two_lo, c, cos_x, sin_x, x)) if pair else j
+        if two_nu == -1:
+            return c * cos_x, c * (-cos_x / x - sin_x)
+        jm = c * cos_x
+        jc = c * sin_x
+        order = 0.5
+        for _ in range(two_nu >> 1):
+            jm, jc = jc, (2.0 * order / x) * jc - jm
+            order += 1.0
+        return jc, jm
     nu = two_nu >> 1
-    lo = two_lo >> 1
-    j, j_lo = _bessel_int(abs(nu), abs(lo), x)
-    # J_{-n} = (-1)^n J_n
-    if nu < 0 and nu & 1:
-        j = -j
-    if not pair:
-        return j
-    return j, -j_lo if lo < 0 and lo & 1 else j_lo
+    if x >= 28.0:
+        # J_{-n} = (-1)^n J_n holds term by term in the expansion
+        amp = math.sqrt(2.0 / (math.pi * x))
+        cx = math.cos(x)
+        sx = math.sin(x)
+        return amp * _hankel_sum(nu, x, cx, sx), amp * _hankel_sum(nu - 1, x, cx, sx)
+    if nu > 0:
+        return _bessel_backward(two_nu, x)
+    # J_{-1} = -J_1
+    j1, j0 = _bessel_backward(2, x)
+    return j0, -j1
 
 
 @functools.lru_cache(maxsize=32)

@@ -181,10 +181,12 @@ def _asy_gamma_part(d: int, alpha: float, log_y: float) -> tuple[float, float]:
     rewritten as f((d-alpha)/2, y, d/2) / Gamma(d/2) with the kernel's
     ``stable_prefactor`` f, taken from log y. At alpha = 0 the first term
     vanishes against the Gamma(alpha/2) pole and the second is returned
-    directly; at alpha = d, f takes its limit.
+    directly. So it is where (d-alpha)/2 rounds to d/2: the first term is
+    then about alpha relative to the result, below rounding, and f would
+    meet the pole of Gamma(0). At alpha = d, f takes its limit.
     """
     ghalf = _asy_constants(d, alpha)[0]
-    if alpha == 0.0:
+    if 0.5 * (d - alpha) == 0.5 * d:
         return -2.0 / (d * ghalf), 0.0
     f, t = _k.stable_prefactor(0.5 * (d - alpha), log_y, 0.5 * d)
     return f / ghalf, t
@@ -289,15 +291,17 @@ def lambda_asymptotic(
         return _asymptotic_result(lam, 0, est)
     s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
     s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
-    j1, j2 = _k.bessel_j(d - 2, kd, pair=True)
+    j1, j2 = _k.bessel_j(d - 2, kd)
     w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
     part_b = w * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
     lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
     # the absolute error of each part over |part_a + part_b|: part_a through
     # the rounding of its exponent t, each Bessel-Lommel product through its
     # Lommel estimate and an absolute error of J. Against mpmath, J errs by
-    # up to 122 eps sqrt(2/(pi kd)) where its ascending series cancels (kd
-    # up to 7) and by at most 7 beyond.
+    # at most 8 eps sqrt(2/(pi kd)). The 128 up to kd = 7 covers part of
+    # the shortfall of the Lommel estimates below kd = 6, which direct
+    # calls reach: with 8 there, more direct calls err above their estimate,
+    # by far more (ROADMAP item 1).
     j_err = (128.0 if kd <= 7.0 else 8.0) * _EPS * math.sqrt(2.0 / (math.pi * kd))
     err = abs(part_a) * 4.0 * _EPS * (1.0 + abs(t)) + abs(w) * (
         abs((d - 2.0 - alpha) * s1.value) * (abs(j1) * (s1.est_rel_err + 2.0 * _EPS) + j_err)
@@ -416,7 +420,10 @@ def apply_to_fourier_coeffs(
     cache: dict[int, float] = {}
     out: dict[tuple[int, ...], complex] = {}
     for kvec, amp in coeffs.items():
-        kt = tuple(int(c) for c in kvec)
+        try:
+            kt = tuple(int(c) for c in kvec)
+        except (OverflowError, ValueError):  # an infinite or NaN entry
+            kt = None
         if kt != tuple(kvec):
             raise ValueError(f"wavevector {kvec!r} has a non-integral entry")
         if len(kt) != params.d:

@@ -2,6 +2,7 @@
 gamma, the log-gamma ratio, digamma and Bessel J (order passed as 2*nu)."""
 
 import math
+import sys
 
 import pytest
 
@@ -107,16 +108,33 @@ class TestDigamma:
             assert abs(kernels.digamma(z) - fd) <= 1e-8
 
 
+def single(two_nu, x):
+    """J_nu(x) as an element of a pair: the first element of bessel_j(2nu, x),
+    or for 2nu = -3 and -2 the second element of bessel_j(2nu + 2, x)."""
+    if two_nu < -1:
+        return kernels.bessel_j(two_nu + 2, x)[1]
+    return kernels.bessel_j(two_nu, x)[0]
+
+
+def _grid():
+    # 1e-6..1e5 at five points a decade, dense in [5, 8] and across the
+    # switch at x = 28
+    xs = {10.0 ** (e / 5) for e in range(-30, 26)}
+    xs |= {5.0 + i / 10 for i in range(31)} | {27.0 + i / 10 for i in range(21)}
+    xs |= {7.0, math.nextafter(7.0, 8.0), math.nextafter(28.0, 0.0), 28.0}
+    return sorted(xs)
+
+
 class TestBesselJ:
     def test_half_order_closed_form(self):
         x = 2.0
-        assert rel(kernels.bessel_j(1, x), math.sqrt(2.0 / (math.pi * x)) * math.sin(x)) <= 1e-14
+        assert rel(single(1, x), math.sqrt(2.0 / (math.pi * x)) * math.sin(x)) <= 1e-14
 
     def test_j0_at_origin_limit(self):
-        assert abs(kernels.bessel_j(0, 1e-12) - 1.0) <= 1e-12
+        assert abs(single(0, 1e-12) - 1.0) <= 1e-12
 
     def test_j1_against_series_oracle(self):
-        assert rel(kernels.bessel_j(2, 7.3), oracle_bessel_j(1.0, 7.3)) <= 1e-12
+        assert rel(single(2, 7.3), oracle_bessel_j(1.0, 7.3)) <= 1e-12
 
     @pytest.mark.parametrize("two_nu", [-3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize(
@@ -124,7 +142,7 @@ class TestBesselJ:
     )
     def test_all_regimes_against_oracle(self, two_nu, x):
         nu = two_nu / 2.0
-        got = kernels.bessel_j(two_nu, x)
+        got = single(two_nu, x)
         ref = oracle_bessel_j(nu, x)
         envelope = math.sqrt(2.0 / (math.pi * x))
         if abs(ref) > 0.01 * max(envelope, 1e-280):
@@ -135,20 +153,33 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("two_nu", range(-3, 22))
     def test_every_accepted_order_against_mpmath(self, two_nu):
-        # every regime and both sides of each switch: series (x <= 7 for
-        # integer orders, x < nu for half-integer ones), backward recurrence
-        # (7 < x < 28), large-argument expansion (x >= 28)
+        # every regime and both sides of each switch: backward recurrence
+        # (x < 28 for integer orders, x < max(1, nu) for half-integer ones
+        # from nu = 3/2), large-argument expansion (x >= 28), closed forms
+        # and upward recurrence (the other half-integer cases)
         nu = two_nu / 2.0
         xs = [0.1, 1.0, 3.3, 6.99, 7.0, 7.01, 9.7, 10.6, 14.2, 21.0, 27.99, 28.0, 28.01]
         xs += [31.4, 37.7, 45.0, 66.0, 100.0, 170.0, 1e3, 1e5]
         for x in xs:
-            got = kernels.bessel_j(two_nu, x)
+            got = single(two_nu, x)
             ref = float(oracle_bessel_j(nu, x))
             envelope = math.sqrt(2.0 / (math.pi * x))
             if abs(ref) > 0.01 * envelope:
                 assert rel(got, ref) <= 1e-12, (nu, x)
             else:
                 assert abs(got - ref) <= 1e-14 * max(1.0, envelope), (nu, x)
+
+    @pytest.mark.parametrize("two_nu", range(-1, 22))
+    def test_both_elements_within_8_eps_of_the_envelope(self, two_nu):
+        # the absolute error lambda_asymptotic budgets for J: 8 eps times
+        # sqrt(2/(pi x)), or times |J| where J_{-3/2} exceeds that (x < 1)
+        for x in _grid():
+            scale = math.sqrt(2.0 / (math.pi * x))
+            got = kernels.bessel_j(two_nu, x)
+            for value, nu in zip(got, (0.5 * two_nu, 0.5 * two_nu - 1.0)):
+                ref = float(oracle_bessel_j(nu, x))
+                bound = 8.0 * sys.float_info.epsilon * max(scale, abs(ref))
+                assert abs(value - ref) <= bound, (nu, x, value, ref)
 
     @pytest.mark.parametrize("nu", [11.0, 11.5, 20.0, 32.0])
     def test_orders_beyond_the_verified_range_rejected(self, nu):
@@ -162,9 +193,8 @@ class TestBesselJ:
     @pytest.mark.parametrize("x", [0.5, 3.0, 10.0, 50.0])
     def test_three_term_recurrence_residual(self, two_nu, x):
         nu = two_nu / 2.0
-        jm = kernels.bessel_j(two_nu - 2, x)
-        jc = kernels.bessel_j(two_nu, x)
-        jp = kernels.bessel_j(two_nu + 2, x)
+        jc, jm = kernels.bessel_j(two_nu, x)
+        jp = single(two_nu + 2, x)
         resid = abs(jm + jp - (2.0 * nu / x) * jc)
         assert resid <= 1e-12 * max(abs(jm), abs(jc), abs(jp))
 
@@ -173,10 +203,16 @@ class TestBesselJ:
         "x", [6.0, 7.0, math.nextafter(7.0, 8.0), 27.99, 28.0, 45.0, 1e3, 1e5]
     )
     def test_pair_has_the_bits_of_two_single_orders(self, d, x):
-        # lambda_asymptotic takes J at 2nu = d-2 and d-4 from one kernel call
-        pair = kernels.bessel_j(d - 2, x, pair=True)
-        singles = (kernels.bessel_j(d - 2, x), kernels.bessel_j(d - 4, x))
-        assert [v.hex() for v in pair] == [v.hex() for v in singles]
+        # lambda_asymptotic takes J at 2nu = d-2 and d-4 from one kernel
+        # call. At x >= 6 each neighbouring pair uses the same regime, so
+        # J_{nu-1} has the bits of the first element of bessel_j(2nu - 2),
+        # and J_nu those of the second element of bessel_j(2nu + 2); below
+        # 2nu = -1 there is no neighbour to compare with.
+        j, j_lo = kernels.bessel_j(d - 2, x)
+        assert j.hex() == kernels.bessel_j(d, x)[1].hex()
+        if d >= 3:
+            assert j_lo.hex() == kernels.bessel_j(d - 4, x)[0].hex()
 
     def test_negative_integer_reflection(self):
-        assert kernels.bessel_j(-2, 3.7) == -kernels.bessel_j(2, 3.7)
+        for x in (3.7, 30.0):
+            assert kernels.bessel_j(0, x)[1] == -kernels.bessel_j(2, x)[0]

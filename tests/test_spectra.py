@@ -439,6 +439,20 @@ class TestLambdaHybrid:
             assert abs(lam1 - lam0) <= 1e-5 * abs(lam0)
 
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_tiny_alpha_within_estimate(self, d):
+        # from 1e-17 down (and 1.2e-16 at d = 3, 3e-16 at d = 10),
+        # (d - alpha)/2 rounds to d/2 and the gamma-ratio part takes its
+        # alpha = 0 form rather than meet the pole of Gamma(0)
+        for alpha in [5e-324, 1e-300, 1e-100, 1e-17, 1.2e-16, 3e-16, 1e-12, 1e-8]:
+            params = KernelParams(d, alpha, 1.0)
+            for kd in (6.5, 30.0):
+                res = lambda_hybrid(params, kd)
+                assert res.method == "asymptotic"
+                err = rel(res.lam, oracle_lambda_maclaurin(params, kd))
+                assert err <= res.est_rel_err, (alpha, kd)
+
+
 class TestLattice:
     def test_achievable_d2_kmax1(self):
         assert achievable_squared_norms(2, 1) == [0, 1, 2]
@@ -572,3 +586,9 @@ class TestApplyToFourierCoeffs:
             apply_to_fourier_coeffs(params, {(1.5, 0): 1.0, (1, 0): 2.0})
         out = apply_to_fourier_coeffs(params, {(2.0, 0): 1.0})
         assert out == {(2, 0): lambda_hybrid(params, 2.0).lam}
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_wavevector_rejected(self, entry):
+        params = KernelParams(2, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"has a non-integral entry"):
+            apply_to_fourier_coeffs(params, {(entry, 0): 1.0})
