@@ -211,12 +211,24 @@ def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
     """Resummation of S_{mu,nu}(x) ~ x^(mu-1) sum_k (a)_k (b)_k / (-z)^k,
     a = (1-mu+nu)/2, b = (1-mu-nu)/2, z = x^2/4; its ``value`` is S itself.
 
-    Float arguments only; ``tol`` is taken as already checked.
+    Float arguments only; ``tol`` is taken as already checked. Raises
+    ValueError at tiny x: the "z = 0" of ``_terminal_index`` where z
+    underflows, or one naming x where x^(mu-1) overflows.
     """
     args = (0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x)
     m = _terminal_index(*args, 0, None, args)
     value, order, converged, est = _resum(args, m, 0, tol, DEFAULT_KMAX)
-    return TransformResult(x ** (mu - 1.0) * value, order, bool(converged), est)
+    try:
+        value *= x ** (mu - 1.0)
+    except OverflowError:
+        raise _tiny_argument_error(x) from None
+    return TransformResult(value, order, bool(converged), est)
+
+
+def _tiny_argument_error(x: float) -> ValueError:
+    return ValueError(
+        f"z = x^2/4 or x^(mu-1) of the Lommel expansion leaves the double range at x={x!r}"
+    )
 
 
 def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
@@ -227,10 +239,14 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     when the resummation cannot reach ``tol`` within ``DEFAULT_KMAX`` orders.
     Near x = 6 the error can exceed the resummation's own estimate, by up
     to two orders of magnitude; a terminal sum reports an estimate of 0.
+    Raises ValueError naming x where x is so small that z = x^2/4
+    underflows to 0 or x^(mu-1) overflows.
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
     _check_tol(tol)
+    if 0.25 * x * x == 0.0:
+        raise _tiny_argument_error(x)
     res = _lommel(mu, nu, x, tol)
     if not res.converged:
         raise NonConvergenceError(

@@ -223,6 +223,14 @@ def _beyond_double_range(d: int, alpha: float, delta: float, kd: float) -> Value
     )
 
 
+def _intermediate_beyond_double_range(d: int, alpha: float, kd: float) -> ValueError:
+    return ValueError(
+        f"an intermediate of the asymptotic form leaves the double range at "
+        f"d={d}, alpha={alpha}, k*delta={kd:g}; the Maclaurin series covers "
+        f"this k*delta"
+    )
+
+
 def _over_delta_squared(
     c: float, part: float, d: int, alpha: float, delta: float, kd: float
 ) -> float:
@@ -278,8 +286,11 @@ def lambda_asymptotic(
     try:
         part_a, t = _asy_gamma_part(d, alpha, log_y)
     except OverflowError:
-        # alpha > d and (kd/2)^(alpha-d) left the double range; that needs
-        # kd far beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
+        # (kd/2)^(alpha-d) left the double range. At alpha < d that is a tiny
+        # kd, where part_a and part_b cancel; at alpha > d it needs kd far
+        # beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
+        if alpha < d:
+            raise _intermediate_beyond_double_range(d, alpha, kd) from None
         lam, est = _huge_gamma_part_in_logs(d, alpha, delta, log_y, kd)
         return _asymptotic_result(lam, 0, est)
     c = _asy_constants(d, alpha)[1]
@@ -289,10 +300,15 @@ def lambda_asymptotic(
         est = 1e-15 + _EPS * abs(alpha - d) * log_kd
         lam = _over_delta_squared(c, part_a, d, alpha, delta, kd)
         return _asymptotic_result(lam, 0, est)
-    s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
-    s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
+    try:
+        s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
+        s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
+        w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
+    except (OverflowError, ValueError) as exc:
+        # only a tiny kd gets here: z = kd^2/4 underflows, or a power of kd
+        # overflows
+        raise _intermediate_beyond_double_range(d, alpha, kd) from exc
     j1, j2 = _k.bessel_j(d - 2, kd)
-    w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
     part_b = w * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
     lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
     # the absolute error of each part over |part_a + part_b|: part_a through
@@ -316,6 +332,10 @@ def lambda_asymptotic(
             f"(est {result.est_rel_err:.2e})",
             result=result,
         )
+    if lam != lam:
+        # at a tiny kd, where an infinite product of J and S meets another
+        # in part_b, or J itself overflowed
+        raise _intermediate_beyond_double_range(d, alpha, kd)
     return result
 
 
@@ -414,23 +434,42 @@ def apply_to_fourier_coeffs(
 
     The operator acts diagonally on Fourier modes, so this is a pointwise
     multiply with an m-deduplicated eigenvalue cache shared across the call.
+    Each distinct coordinate value is checked against LATTICE_KMAX_LIMIT
+    once per call: a coordinate memo maps every coordinate that passed to
+    its square, and m = |k|^2 is summed from it. Output keys are int tuples,
+    in the order of ``coeffs``; an invalid wavevector raises ValueError when
+    the pass reaches it.
     """
     if not isinstance(params, KernelParams):
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
+    d = params.d
     cache: dict[int, float] = {}
+    squares: dict[int, int] = {}
+    square = squares.__getitem__
     out: dict[tuple[int, ...], complex] = {}
     for kvec, amp in coeffs.items():
         try:
-            kt = tuple(int(c) for c in kvec)
+            # unpacked: tuple(map(...)) raised peak RSS by 0.35 MiB on a
+            # block of 185,193 wavevectors; this form is as fast and did not
+            kt = (*map(int, kvec),)
         except (OverflowError, ValueError):  # an infinite or NaN entry
             kt = None
-        if kt != tuple(kvec):
+        # a tuple key of integral entries equals kt; a key of another
+        # sequence type never does, so its entries are compared as a tuple
+        if kt != kvec and kt != tuple(kvec):
             raise ValueError(f"wavevector {kvec!r} has a non-integral entry")
-        if len(kt) != params.d:
-            raise ValueError(f"wavevector {kvec!r} does not have d={params.d} entries")
-        if any(abs(c) > LATTICE_KMAX_LIMIT for c in kt):
-            raise ValueError(f"wavevector {kvec!r} exceeds |k|_inf <= {LATTICE_KMAX_LIMIT}")
-        m = sum(c * c for c in kt)
+        if len(kt) != d:
+            raise ValueError(f"wavevector {kvec!r} does not have d={d} entries")
+        try:
+            m = sum(map(square, kt))
+        except KeyError:  # a coordinate not checked yet in this call
+            if any(abs(c) > LATTICE_KMAX_LIMIT for c in kt):
+                raise ValueError(
+                    f"wavevector {kvec!r} exceeds |k|_inf <= {LATTICE_KMAX_LIMIT}"
+                ) from None
+            for c in kt:
+                squares[c] = c * c
+            m = sum(map(square, kt))
         lam = cache.get(m)
         if lam is None:
             lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam

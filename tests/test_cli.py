@@ -183,6 +183,18 @@ class TestTable:
         _, rows = read_csv(out)
         assert rows[0]["lambda_mac"] == "nan"
 
+    def test_tiny_kdelta_asymptotic_exits_2(self, tmp_path, capsys):
+        # x^(mu-1) of a Lommel factor overflows: a named error, not a traceback
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "1", "--alpha-min", "1", "--alpha-max", "1",
+                "--alpha-steps", "1", "--kdelta-min", "1e-150", "--kdelta-max", "1e-150",
+                "--kdelta-steps", "1", "--method", "asy", "--out", str(out)) == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k*delta=1e-150" in err
+        assert not out.exists()
+
     def test_unwritable_out_exits_2(self, tmp_path):
         out = tmp_path / "nope" / "t.csv"
         assert (

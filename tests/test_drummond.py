@@ -439,6 +439,12 @@ class TestLommel:
         with pytest.raises(ValueError):
             lommel_s(-0.5, 0.5, -1.0)
 
+    @pytest.mark.parametrize("x", [1e-150, 1e-170, 5e-324])
+    def test_tiny_argument_named(self, x):
+        # x^(mu-1) overflows at 1e-150; z = x^2/4 underflows to 0 below
+        with pytest.raises(ValueError, match=f"leaves the double range at x={x!r}"):
+            lommel_s(-1.5, -0.5, x)
+
 
 class TestNonFiniteArgument:
     """A non-finite z, alpha or beta has no resummation; every entry point says so."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from mpmath import mp
@@ -207,6 +208,25 @@ class TestLambdaAsymptotic:
         params = KernelParams(d, alpha, 1.0)
         res = lambda_asymptotic(params, kd)
         assert rel(res.lam, oracle_lambda_maclaurin(params, kd)) <= res.est_rel_err
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_tiny_kdelta_ends_typed(self, d):
+        # z = kd^2/4 underflows, x^(mu-1), kd^(alpha+1-d) or (kd/2)^(alpha-d)
+        # overflows, or infinite products of J and S meet in part_b: each is
+        # a ValueError naming k*delta, never an OverflowError or a NaN lambda
+        kds = [5e-324, 1e-300, 1e-200, 1e-160, 1e-150, 1e-100, 1e-50, 1e-20, 1e-5]
+        for alpha in [0.0, 1.0, float(d), d + 1.5]:
+            params = KernelParams(d, alpha, 1.0)
+            for kd in kds:
+                try:
+                    res = lambda_asymptotic(params, kd)
+                except NonConvergenceError:
+                    continue
+                except ValueError as exc:
+                    assert "an intermediate of the asymptotic form leaves the double range" in str(exc)
+                    assert f"k*delta={kd:g}" in str(exc)
+                    continue
+                assert math.isfinite(res.lam), (alpha, kd)
 
 
 # lambda_hybrid(KernelParams(d, alpha, 1), kd).lam by the full formula, Lommel
@@ -592,3 +612,58 @@ class TestApplyToFourierCoeffs:
         params = KernelParams(2, 1.0, 0.5)
         with pytest.raises(ValueError, match=r"has a non-integral entry"):
             apply_to_fourier_coeffs(params, {(entry, 0): 1.0})
+
+    @pytest.mark.parametrize("d,r", [(2, 9), (3, 4)])
+    def test_matches_per_coefficient_reference(self, d, r):
+        # a shuffled block with negative entries against one lambda_hybrid
+        # per coefficient: the same values, in the same order, under int keys
+        params = KernelParams(d, 1.5, 0.3)
+        keys = list(itertools.product(range(-r, r + 1), repeat=d))
+        random.Random(d).shuffle(keys)
+        coeffs = {k: complex(i, -i) for i, k in enumerate(keys)}
+        out = apply_to_fourier_coeffs(params, coeffs)
+        ref = [
+            (k, amp * lambda_hybrid(params, math.sqrt(sum(c * c for c in k))).lam)
+            for k, amp in coeffs.items()
+        ]
+        assert list(out.items()) == ref
+        assert all(type(c) is int for k in out for c in k)
+
+    @pytest.mark.parametrize(
+        "coeffs,bad",
+        [
+            ({(1, 0): 1.0, (1, -4097): 1.0}, r"\(1, -4097\)"),
+            ({(4097, 0): 1.0}, r"\(4097, 0\)"),
+            ({(0, 1): 1.0, (1, 0): 1.0, (0, 4097): 1.0}, r"\(0, 4097\)"),
+        ],
+    )
+    def test_wavevector_over_the_limit_rejected(self, coeffs, bad):
+        # also where its other entries passed the check on an earlier wavevector
+        params = KernelParams(2, 1.0, 0.5)
+        with pytest.raises(ValueError, match=bad + r" exceeds \|k\|_inf <= 4096"):
+            apply_to_fourier_coeffs(params, coeffs)
+
+    def test_limit_itself_accepted(self):
+        params = KernelParams(2, 1.0, 1e-4)
+        out = apply_to_fourier_coeffs(params, {(4096, 0): 1.0, (-4096, 1): 1.0})
+        assert list(out) == [(4096, 0), (-4096, 1)]
+
+    def test_float_valued_keys_come_back_as_int_tuples(self):
+        params = KernelParams(3, 1.0, 0.5)
+        out = apply_to_fourier_coeffs(params, {(2.0, 0, -1.0): 1.0, (1, 2, 2.0): 2.0})
+        assert list(out) == [(2, 0, -1), (1, 2, 2)]
+        assert all(type(c) is int for k in out for c in k)
+        assert out[(1, 2, 2)] == 2.0 * lambda_hybrid(params, 3.0).lam
+
+    def test_one_evaluation_per_distinct_norm(self, monkeypatch):
+        calls = []
+
+        def counting(params, k_mod, tol):
+            calls.append(k_mod)
+            return lambda_hybrid(params, k_mod, tol)
+
+        monkeypatch.setattr(spectra, "lambda_hybrid", counting)
+        keys = list(itertools.product(range(-3, 4), repeat=3))
+        apply_to_fourier_coeffs(KernelParams(3, 1.0, 0.5), dict.fromkeys(keys, 1.0))
+        norms = {sum(c * c for c in k) for k in keys}
+        assert sorted(calls) == sorted(map(math.sqrt, norms))
