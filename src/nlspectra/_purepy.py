@@ -12,7 +12,6 @@ import cmath
 import functools
 import math
 import sys
-import threading
 
 # Lanczos representation of Gamma(z+1) with shift g = 607/128 and the
 # 15-coefficient table computed by Godfrey; roughly 1e-15 relative accuracy
@@ -47,13 +46,12 @@ _RESCALE_THRESHOLD = 2.0**512
 _RESCALE_TINY = 2.0**-512
 
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
-# on z, so they are tabulated once and shared by every call on the same
-# parameters. At most _TABLES_KEPT tables are kept (the least recently used
-# goes first), each holding orders 1.._TABLE_ORDERS; higher orders are
-# computed per call.
+# on z, so each call of orders 1..k_end-1 reads them from one immutable table
+# shared by every call with the same (alpha, beta, n, k_end). At most
+# _TABLES_KEPT tables are kept (the least recently used goes first); a call
+# beyond _TABLE_ORDERS computes its coefficients as it goes and keeps none.
 _TABLES_KEPT = 8
 _TABLE_ORDERS = 4096
-_TABLES_LOCK = threading.Lock()
 
 
 def _lanczos_sum(z):
@@ -293,36 +291,27 @@ def _nan_like(v):
     return math.nan
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
-def _coefficient_table(alpha, beta, n):
-    """The shared list of recurrence coefficients for (alpha, beta, n).
-
-    Entry k-1 is (k, lead, b - z, c, e) for order k; only z varies between
-    the calls that share a table. Keyed on the parameter types too, so a
-    complex twin of real parameters gets its own table. Two threads that
-    miss at once may each get a list; only one is kept, and the other
-    serves its caller alone.
-    """
-    return []
-
-
-def _coefficient_row(table, alpha, beta, n, k):
-    """Coefficients of order k, appended to ``table`` if it ends at order
-    k-1 and is below its cap. A row is complete before it is appended, so a
-    concurrent reader never sees part of one."""
+def _coefficient_rows(alpha, beta, n, k_end):
+    """The recurrence coefficients (k, lead, b - z, c, e) of orders
+    k = 1..k_end-1; only z varies between calls that share them."""
     ab2n = alpha + beta + 2.0 * n
-    row = (
-        k,
-        (alpha + n + k + 1.0) * (beta + n + k + 1.0),
-        k * (ab2n + 2.0 * k + 1.0),
-        k * (ab2n + 3.0 * k),
-        k * (k - 1.0),
-    )
-    if len(table) == k - 1 < _TABLE_ORDERS:
-        with _TABLES_LOCK:
-            if len(table) == k - 1:
-                table.append(row)
-    return row
+    for k in range(1, k_end):
+        yield (
+            k,
+            (alpha + n + k + 1.0) * (beta + n + k + 1.0),
+            k * (ab2n + 2.0 * k + 1.0),
+            k * (ab2n + 3.0 * k),
+            k * (k - 1.0),
+        )
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
+def _coefficient_table(alpha, beta, n, k_end):
+    """The rows of ``_coefficient_rows`` as one tuple, built whole and never
+    changed. Keyed on the parameter types too, so a complex twin of real
+    parameters gets its own table. Callers that miss at once may each build
+    the same tuple; only one is kept."""
+    return tuple(_coefficient_rows(alpha, beta, n, k_end))
 
 
 def _stalled(t, order, diff, at):
@@ -337,8 +326,10 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     returns the approximant T_n^(k_end) alone, forming no intermediate
     quotient; otherwise it returns (value, order, converged, est_rel_err)
     and stops once two consecutive approximant differences fall below
-    tol * |T|. The coefficients that do not involve z come from the table
-    of (alpha, beta, n), extended as far as this call reaches.
+    tol * |T|. The coefficients that do not involve z come from the cached
+    table of (alpha, beta, n, k_end), whole up to order k_end - 1 however
+    early the call stops, or from ``_coefficient_rows`` beyond
+    _TABLE_ORDERS.
     """
     early = tol is not None
     a = 1.0
@@ -367,42 +358,38 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
         at_cur = abs(t_cur)
         diff0 = abs(t_cur - t_prev)
         order = 1
-    table = _coefficient_table(alpha, beta, n)
-    k = 1
-    while k < k_end:
-        # the stored rows from order k on, or else order k built now
-        rows = table[k - 1 : k_end - 1]
-        if not rows:
-            rows = (_coefficient_row(table, alpha, beta, n, k),)
-        for k, lead, bmz, c, e in rows:
-            b = z + bmz + lead
-            n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
-            d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
-            an = abs(n_new)
-            ad = abs(d_new)
-            m = ad if ad > an else an  # max(an, ad), NaN included
-            if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
-                scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
-                n_new *= scale
-                n_cur *= scale
-                n_prev *= scale
-                d_new *= scale
-                d_cur *= scale
-                d_prev *= scale
-            if early:
-                t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
-                order = k + 1
-                diff1 = abs(t_new - t_cur)
-                at_new = abs(t_new)
-                if diff1 < tol * at_new and diff0 < tol * at_cur:
-                    est = diff1 / at_new if at_new > 0.0 else 0.0
-                    return (t_new, order, True, est)
-                t_cur = t_new
-                at_cur = at_new
-                diff0 = diff1
-            n_prev2, n_prev, n_cur = n_prev, n_cur, n_new
-            d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
-        k += 1
+    if k_end <= _TABLE_ORDERS:
+        rows = _coefficient_table(alpha, beta, n, k_end)
+    else:
+        rows = _coefficient_rows(alpha, beta, n, k_end)
+    for k, lead, bmz, c, e in rows:
+        b = z + bmz + lead
+        n_new = -(b * n_cur + c * n_prev + e * n_prev2) / lead
+        d_new = -(b * d_cur + c * d_prev + e * d_prev2) / lead
+        an = abs(n_new)
+        ad = abs(d_new)
+        m = ad if ad > an else an  # max(an, ad), NaN included
+        if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
+            scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
+            n_new *= scale
+            n_cur *= scale
+            n_prev *= scale
+            d_new *= scale
+            d_cur *= scale
+            d_prev *= scale
+        if early:
+            t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
+            order = k + 1
+            diff1 = abs(t_new - t_cur)
+            at_new = abs(t_new)
+            if diff1 < tol * at_new and diff0 < tol * at_cur:
+                est = diff1 / at_new if at_new > 0.0 else 0.0
+                return (t_new, order, True, est)
+            t_cur = t_new
+            at_cur = at_new
+            diff0 = diff1
+        n_prev2, n_prev, n_cur = n_prev, n_cur, n_new
+        d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
     if not early:
         return n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
     return _stalled(t_cur, order, diff0, at_cur)

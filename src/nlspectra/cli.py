@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .drummond import HypTerm2F0, drummond_2f0_at_order
+from .drummond import HypTerm2F0, _check_tol, drummond_2f0_at_order
 from .errors import NonConvergenceError
 from .spectra import (
     DEFAULT_TOL,
@@ -103,12 +103,19 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
+_FAILED_CELL = EvalResult(math.nan, "error", 0, math.inf)
+
+
 def _best_effort(fn, params, k, tol) -> EvalResult:
-    # sweep cells outside a method's good region still get a value
+    # sweep cells outside a method's good region still get a value, NaN
+    # where the route raises ValueError: the arguments were checked before
+    # the sweep, so that cell lies beyond the route's double range
     try:
         return fn(params, k, tol)
     except NonConvergenceError as exc:
         return exc.result
+    except ValueError:
+        return _FAILED_CELL
 
 
 def _cmd_table(args) -> int:
@@ -121,8 +128,9 @@ def _cmd_table(args) -> int:
         raise ValueError("need 0 <= alpha-min <= alpha-max")
     if args.alpha_max >= d + 2:
         raise ValueError(f"alpha-max must be < d+2 = {d + 2}")
-    if not (0.0 < args.kdelta_min <= args.kdelta_max):
-        raise ValueError("need 0 < kdelta-min <= kdelta-max")
+    if not (0.0 < args.kdelta_min <= args.kdelta_max < math.inf):
+        raise ValueError("need 0 < --kdelta-min <= --kdelta-max < inf")
+    _check_tol(args.tol)
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
     kds = _grid(args.kdelta_min, args.kdelta_max, args.kdelta_steps)
 

@@ -112,8 +112,7 @@ def _kernel_args(
     parameters are real and all complex when not; ``m`` is the terminal
     index of ``_terminal_index``.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_int("n", n, 0)
     alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
     m = _terminal_index(alpha, beta, z, n, order, (term.alpha, term.beta, term.z))
     if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
@@ -166,6 +165,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be >= machine epsilon, got {tol}")
 
 
+def _check_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """ValueError naming the argument unless ``value`` is an int, and not a
+    bool, in [low, high]."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
 def drummond_2f0(
     term: HypTerm2F0,
     n: int = 0,
@@ -183,8 +192,7 @@ def drummond_2f0(
     raised.
     """
     _check_tol(tol)
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
+    _check_int("k_max", k_max, 2)
     args, m = _kernel_args(term, n, None)
     try:
         value, order, converged, est = _resum(args, m, n, tol, k_max)
@@ -195,8 +203,7 @@ def drummond_2f0(
 
 def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
     """T_n^(order) with no early exit; NaN where the approximant has a pole."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_int("order", order, 0)
     args, m = _kernel_args(term, n, order)
     if m is not None:
         # the terminal partial sum s_m is the kernel's prelude alone

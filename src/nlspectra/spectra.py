@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_TOL, _check_tol, _lommel
+from .drummond import DEFAULT_TOL, _check_int, _check_tol, _lommel
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -83,10 +83,7 @@ class KernelParams:
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
-            raise ValueError(f"d must be an integer, got {self.d!r}")
-        if not 1 <= self.d <= 10:
-            raise ValueError(f"d must be in [1, 10], got {self.d}")
+        _check_int("d", self.d, 1, 10)
         if not (0.0 <= self.alpha < self.d + 2):
             raise ValueError(
                 f"alpha must be in [0, d+2) = [0, {self.d + 2}), got {self.alpha}"
@@ -362,12 +359,8 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     enumerating the (2*kmax+1)^d lattice points; the set bits are read in
     one scan of the bitset's binary digits.
     """
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    _check_int("d", d, 1)
+    _check_int("kmax", kmax, 0)
     squares = [j * j for j in range(kmax + 1)]
     acc = 0
     for s in squares:
@@ -396,10 +389,8 @@ def lattice_spectrum(
     """
     if not isinstance(params, KernelParams):
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
-    if not 0 <= kmax <= LATTICE_KMAX_LIMIT:
-        raise ValueError(f"kmax must be in [0, {LATTICE_KMAX_LIMIT}], got {kmax}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
+    _check_int("jobs", jobs, 1)
     ms = achievable_squared_norms(params.d, kmax)
     pool = contextlib.nullcontext()
     mapper = map
@@ -442,6 +433,7 @@ def apply_to_fourier_coeffs(
     """
     if not isinstance(params, KernelParams):
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
+    _check_tol(tol)
     d = params.d
     cache: dict[int, float] = {}
     squares: dict[int, int] = {}

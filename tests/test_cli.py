@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nlspectra import NonConvergenceError
+from nlspectra import NonConvergenceError, cli
 from nlspectra.cli import _build_parser, _write_rows, main
 from nlspectra.oracle import oracle_closed_form_d1_a0, oracle_drummond_bigfloat
 from nlspectra import HypTerm2F0
@@ -183,16 +183,48 @@ class TestTable:
         _, rows = read_csv(out)
         assert rows[0]["lambda_mac"] == "nan"
 
-    def test_tiny_kdelta_asymptotic_exits_2(self, tmp_path, capsys):
-        # x^(mu-1) of a Lommel factor overflows: a named error, not a traceback
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_tiny_kdelta_asymptotic_cell_is_nan(self, tmp_path, with_oracle):
+        # x^(mu-1) of a Lommel factor overflows at k*delta = 1e-150: that cell
+        # is NaN and the sweep goes on
+        out = tmp_path / "t.csv"
+        argv = ["table", "--d", "1", "--alpha-min", "1", "--alpha-max", "1",
+                "--alpha-steps", "1", "--kdelta-min", "1e-150", "--kdelta-max", "10",
+                "--kdelta-steps", "3", "--method", "both", "--out", str(out)]
+        assert run(*argv, *["--with-oracle"] * with_oracle) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row["lambda_mac"])) for row in rows)
+        assert rows[0]["lambda_asy"] == "nan" and rows[0]["terms_asy"] == "0"
+        assert all(math.isfinite(float(row["lambda_asy"])) for row in rows[1:])
+        assert rows[0]["err_asy"] == ("nan" if with_oracle else "")
+
+    @pytest.mark.parametrize("lo, hi", [("1", "inf"), ("inf", "inf"), ("1", "nan")])
+    def test_nonfinite_kdelta_exits_2(self, tmp_path, capsys, lo, hi):
         out = tmp_path / "t.csv"
         assert (
-            run("table", "--d", "1", "--alpha-min", "1", "--alpha-max", "1",
-                "--alpha-steps", "1", "--kdelta-min", "1e-150", "--kdelta-max", "1e-150",
-                "--kdelta-steps", "1", "--method", "asy", "--out", str(out)) == 2
+            run("table", "--d", "2", "--alpha-min", "0", "--alpha-max", "1",
+                "--alpha-steps", "2", "--kdelta-min", lo, "--kdelta-max", hi,
+                "--kdelta-steps", "2", "--out", str(out)) == 2
         )
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "k*delta=1e-150" in err
+        assert "--kdelta-min" in err and "--kdelta-max" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tol_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, tol):
+        def evaluated(*_args):
+            raise AssertionError("a cell was evaluated")
+
+        for name in ("lambda_maclaurin", "lambda_asymptotic", "lambda_hybrid"):
+            monkeypatch.setattr(cli, name, evaluated)
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "2", "--alpha-min", "0", "--alpha-max", "1",
+                "--alpha-steps", "2", "--kdelta-min", "1", "--kdelta-max", "8",
+                "--kdelta-steps", "2", "--tol", tol, "--out", str(out)) == 2
+        )
+        assert "tol must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path):

@@ -120,6 +120,18 @@ class TestDrummond2F0:
         with pytest.raises(ValueError):
             drummond_2f0(HypTerm2F0(1.0, 1.0, 8.0), k_max=1)
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("name", ["n", "k_max", "order"])
+    def test_integer_arguments_rejected_by_name(self, name, value):
+        term = HypTerm2F0(1.0, 1.0, 8.0)
+        calls = {
+            "n": lambda: drummond_2f0(term, n=value),
+            "k_max": lambda: drummond_2f0(term, k_max=value),
+            "order": lambda: drummond_2f0_at_order(term, 0, value),
+        }
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            calls[name]()
+
     @pytest.mark.parametrize(
         "term, cause",
         [
@@ -213,8 +225,8 @@ def _twin(case):
 
 class TestCoefficientTables:
     """The recurrence reads its order-only coefficients from tables shared
-    by every call on the same (alpha, beta, n); no table state may change a
-    bit of any result."""
+    by every call on the same (alpha, beta, n, k_end); no table state may
+    change a bit of any result."""
 
     # (alpha, beta, n, z, order)
     CASES = [
@@ -251,14 +263,26 @@ class TestCoefficientTables:
             warm()
         assert self.outcome(case) == cold, case
 
-    def test_first_call_builds_only_the_orders_it_uses(self, cold_tables):
-        _value, order, converged, _est = _purepy.drummond_2f0(1.0, 1.0, 8.0, 0, DEFAULT_TOL, 500)
+    def test_table_holds_orders_below_k_end_for_every_z(self, cold_tables):
+        _value, _order, converged, _est = _purepy.drummond_2f0(1.0, 1.0, 8.0, 0, DEFAULT_TOL, 500)
         assert converged
         assert cold_tables.cache_info().currsize == 1
-        table = cold_tables(1.0, 1.0, 0)
-        assert len(table) == order - 1
-        _purepy.drummond_2f0_fixed(1.0, 1.0, 9.0, 0, order + 10)
-        assert [row[0] for row in table] == list(range(1, order + 10))
+        table = cold_tables(1.0, 1.0, 0, 500)
+        assert isinstance(table, tuple)
+        assert [row[0] for row in table] == list(range(1, 500))
+        _purepy.drummond_2f0(1.0, 1.0, 9.0, 0, DEFAULT_TOL, 500)
+        _purepy.drummond_2f0_fixed(1.0, 1.0, -2.5, 0, 500)
+        assert cold_tables.cache_info().currsize == 1
+        assert cold_tables(1.0, 1.0, 0, 500) is table
+
+    def test_call_beyond_the_cap_keeps_no_table(self, cold_tables, monkeypatch):
+        case = (1.0, 0.25, 0, 4.5)
+        order = _purepy._TABLE_ORDERS + 10
+        beyond = repr((_fixed(case, 4.5, order), _early(case, 4.5, order)))
+        assert cold_tables.cache_info().currsize == 0
+        monkeypatch.setattr(_purepy, "_TABLE_ORDERS", order + 1)
+        assert repr((_fixed(case, 4.5, order), _early(case, 4.5, order))) == beyond
+        assert cold_tables.cache_info().currsize == 1
 
     def test_threads_sharing_a_table_give_the_serial_bits(self, cold_tables):
         # four threads build one table from cold at once, 40 times over
@@ -290,10 +314,11 @@ class TestCoefficientTables:
                     t.join(timeout=10.0)
                     assert not t.is_alive()
                 assert results == serial
-                # one row per order, none repeated or skipped
-                assert cold_tables.cache_info().currsize == 1
-                table = cold_tables(*case)
-                assert [row[0] for row in table] == list(range(1, len(table) + 1))
+                # one table per k_end, one row per order, none repeated or skipped
+                assert cold_tables.cache_info().currsize == 2
+                for k_end in (120, 500):
+                    table = cold_tables(*case, k_end)
+                    assert [row[0] for row in table] == list(range(1, k_end))
         finally:
             sys.setswitchinterval(interval)
 
@@ -309,17 +334,17 @@ class TestCoefficientTables:
             _purepy.drummond_2f0(1.0 + i / 7, 0.5, 8.0, 0, DEFAULT_TOL, 500)
 
         resum(0)
-        first = cold_tables(1.0, 0.5, 0)
+        first = cold_tables(1.0, 0.5, 0, 500)
         resum(1)
-        second = cold_tables(1.0 + 1 / 7, 0.5, 0)
+        second = cold_tables(1.0 + 1 / 7, 0.5, 0, 500)
         assert first and second
         for i in range(2, _purepy._TABLES_KEPT):
             resum(i)
         resum(0)
         resum(_purepy._TABLES_KEPT)
         assert cold_tables.cache_info().currsize == _purepy._TABLES_KEPT
-        assert cold_tables(1.0, 0.5, 0) is first
-        assert cold_tables(1.0 + 1 / 7, 0.5, 0) is not second
+        assert cold_tables(1.0, 0.5, 0, 500) is first
+        assert cold_tables(1.0 + 1 / 7, 0.5, 0, 500) is not second
 
 
 class TestDrummond2F0AtOrder:

@@ -545,6 +545,19 @@ class TestLattice:
         with pytest.raises(ValueError):
             lattice_spectrum(KernelParams(2, 1.0, 1.0), 4097)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("where", ["kmax", "jobs", "norms_kmax"])
+    def test_integer_arguments_rejected_by_name(self, where, value):
+        params = KernelParams(2, 1.0, 1.0)
+        calls = {
+            "kmax": lambda: lattice_spectrum(params, value),
+            "jobs": lambda: lattice_spectrum(params, 2, jobs=value),
+            "norms_kmax": lambda: achievable_squared_norms(3, value),
+        }
+        name = "jobs" if where == "jobs" else "kmax"
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            calls[where]()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
@@ -642,6 +655,12 @@ class TestApplyToFourierCoeffs:
         params = KernelParams(2, 1.0, 0.5)
         with pytest.raises(ValueError, match=bad + r" exceeds \|k\|_inf <= 4096"):
             apply_to_fourier_coeffs(params, coeffs)
+
+    def test_bad_tol_rejected_on_entry(self):
+        # also where no coefficient would reach an eigenvalue route
+        for coeffs in ({}, {(1, 0): 1.0}):
+            with pytest.raises(ValueError, match="tol must be"):
+                apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), coeffs, tol=0)
 
     def test_limit_itself_accepted(self):
         params = KernelParams(2, 1.0, 1e-4)
