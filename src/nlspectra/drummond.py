@@ -7,8 +7,10 @@ partial sums s_n:
 
 For the hypergeometric-type terms a_k = (alpha)_k (beta)_k / (-z)^k the
 numerators and denominators both satisfy a four-term recurrence in k, which
-the kernel in ``nlspectra._purepy`` advances in O(1) work per order; besides
-the speedup over the O(k^2) finite-difference form (kept as a reference in
+the kernel in ``nlspectra._purepy`` advances in O(1) work per order: its
+order-only coefficients are tabulated already divided by the leading one,
+so each order is one multiply-add per term, with no division. Besides the
+speedup over the O(k^2) finite-difference form (kept as a reference in
 ``nlspectra.oracle``), the recurrence is what keeps high orders numerically
 stable. A series with alpha or beta a nonpositive integer -m terminates
 and is summed exactly. Lommel functions of the second kind,
@@ -127,14 +129,19 @@ def _resum(
     the exact sum s_m where ``m`` marks a terminating series.
 
     A terminal sum takes at most k_max terms; a cut-off or non-finite one is
-    returned as it stands, with converged=False and est_rel_err=inf.
+    returned as it stands, with converged=False and est_rel_err=inf. A
+    complete one estimates the rounding of its additions, eps sum|a_j| / |s|
+    (inf where s = 0).
     """
     if m is None:
         return _k.drummond_2f0(*args, n, tol, k_max)
     terms = min(m + 1, k_max)
     value = _k.drummond_2f0_fixed(*args, terms - 1, 0)
     if terms == m + 1 and cmath.isfinite(value):
-        return value, terms, True, 0.0
+        if not value:
+            return value, terms, True, math.inf
+        total = sum(map(abs, HypTerm2F0(*args).terms(terms)))
+        return value, terms, True, sys.float_info.epsilon * total / abs(value)
     return value, terms, False, math.inf
 
 
@@ -220,7 +227,9 @@ def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
 
     Float arguments only; ``tol`` is taken as already checked. Raises
     ValueError at tiny x: the "z = 0" of ``_terminal_index`` where z
-    underflows, or one naming x where x^(mu-1) overflows.
+    underflows, or one naming x where x^(mu-1) overflows. The estimate adds
+    eps |mu-1| |ln x| to the resummation's, for the rounded exponent of
+    x^(mu-1).
     """
     args = (0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x)
     m = _terminal_index(*args, 0, None, args)
@@ -229,6 +238,7 @@ def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
         value *= x ** (mu - 1.0)
     except OverflowError:
         raise _tiny_argument_error(x) from None
+    est += sys.float_info.epsilon * abs(mu - 1.0) * abs(math.log(x))
     return TransformResult(value, order, bool(converged), est)
 
 
@@ -244,10 +254,15 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     Reliable for x of a few and beyond (the eigenvalue formulas call it
     with x >= 6); raises NonConvergenceError, carrying the TransformResult,
     when the resummation cannot reach ``tol`` within ``DEFAULT_KMAX`` orders.
-    Near x = 6 the error can exceed the resummation's own estimate, by up
-    to two orders of magnitude; a terminal sum reports an estimate of 0.
-    Raises ValueError naming x where x is so small that z = x^2/4
-    underflows to 0 or x^(mu-1) overflows.
+    At the default tol the estimate covers the rounding, which grows with
+    the order; at a looser tol the stopping rule can fire while the
+    approximants are still far from their limit, and near x = 6 the error
+    can then exceed the estimate by a few hundred times. Where S falls
+    below the normal doubles (x^(mu-1) at large x and negative mu) it comes
+    back as 0 or a subnormal, accurate only in absolute terms, with
+    ``converged`` set and the estimate of the resummation. Raises
+    ValueError naming x where x is so small that z = x^2/4 underflows to 0
+    or x^(mu-1) overflows.
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")

@@ -80,11 +80,10 @@ def test_hybrid_within_its_estimate_of_the_series_oracle():
 
 def test_parts_within_their_budgets_beyond_the_series_oracle():
     # lambda_asymptotic budgets |part_a| 4 eps (1 + |t|) for the gamma-ratio
-    # part and est_rel_err + 2 eps for each Lommel factor. A factor also
-    # carries x^(mu-1), whose exponent is rounded: eps |mu-1| ln x more,
-    # which the resummation's estimate leaves out (ROADMAP item 1). Below the
-    # normal doubles a factor can only be absolutely accurate; there it is
-    # weighted by w ~ (k*delta)^(alpha+1-d) and far below rounding in lambda.
+    # part and est_rel_err + 2 eps for each Lommel factor, whose estimate
+    # covers the rounded exponent of x^(mu-1) too. Below the normal doubles
+    # a factor can only be absolutely accurate; there it is weighted by
+    # w ~ (k*delta)^(alpha+1-d) and far below rounding in lambda.
     # At alpha = d, mu + nu is -3 or -1 and mpmath's lommels2 takes up to
     # 12 s a call, so the Lommel factors are checked on the other strata;
     # the resummation has no branch on alpha.
@@ -108,7 +107,29 @@ def test_parts_within_their_budgets_beyond_the_series_oracle():
             ref = oracle_lommel(mu, nu, kd)
             with mp.workprec(256):
                 err = float(abs(s.value - ref) / max(abs(ref), TINY))
-            bound = s.est_rel_err + 2.0 * EPS + EPS * abs(mu - 1.0) * math.log(kd)
+            bound = s.est_rel_err + 2.0 * EPS
             if not (s.converged and err <= bound):
                 failures.append(("lommel", d, alpha, kd, mu, nu, s, err))
+    assert not failures, failures[:5]
+
+
+def test_lommel_within_its_estimate_near_the_route_switch():
+    # The two factors of lambda_asymptotic where the route starts, whose
+    # resummation runs longest: the last approximant difference alone
+    # underestimates the error of 228 of these 300 calls, while with the
+    # rounding term of the early exit none err above their estimate
+    rng = random.Random(5)
+    failures = []
+    for _ in range(150):
+        d = rng.randint(1, 10)
+        alpha = rng.uniform(0.0, d + 2)
+        kd = rng.uniform(6.0, 20.0)
+        for mu, nu in ((0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0)),
+                       (0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0))):
+            s = _lommel(mu, nu, kd, DEFAULT_TOL)
+            ref = oracle_lommel(mu, nu, kd)
+            with mp.workprec(256):
+                err = float(abs((s.value - ref) / ref))
+            if not (s.converged and err <= s.est_rel_err):
+                failures.append((d, alpha, kd, mu, nu, s, err))
     assert not failures, failures[:5]

@@ -193,8 +193,16 @@ class TestTerminatingCap:
         assert not math.isfinite(res.value)
 
     def test_sum_within_the_cap_unchanged(self):
+        # 1 + 1.5 + 3 + 4.5: every term positive, so eps sum|a_j| / |s| = eps
         res = drummond_2f0(HypTerm2F0(-3.0, 1.0, 2.0), k_max=4)
-        assert (res.value, res.order, res.converged, res.est_rel_err) == (10.0, 4, True, 0.0)
+        assert (res.value, res.order, res.converged, res.est_rel_err) == (
+            10.0, 4, True, sys.float_info.epsilon
+        )
+
+    def test_sum_of_zero_has_no_relative_estimate(self):
+        # 1 + (-1): no relative error bound exists for a sum of 0
+        res = drummond_2f0(HypTerm2F0(-1.0, 1.0, -1.0))
+        assert (res.value, res.order, res.converged, res.est_rel_err) == (0.0, 2, True, math.inf)
 
 
 @pytest.fixture
@@ -412,6 +420,29 @@ class TestApproximantsByOrder:
                     got = drummond_2f0_at_order(term, n, k)
                     ref = oracle_drummond_bigfloat(term, n, k)
                     assert rel(got, complex(ref)) <= 1e-14, (term, n, k)
+
+    # T_0^(300) over the complex window of the phase command errs by at most
+    # 2.5e-12 at these points; the bound leaves a factor of 4
+    HIGH_ORDER_BOUND = 1e-11
+
+    @pytest.mark.parametrize(
+        "z", [complex(-15, -10), complex(-8, 2), complex(-3.2, 4.1),
+              complex(-1, -0.5), complex(2, 6), complex(5, -10)]
+    )
+    def test_high_fixed_order_at_complex_z(self, z):
+        term = HypTerm2F0(complex(1.0), complex(1.0), z)
+        got = drummond_2f0_at_order(term, 0, 300)
+        assert rel(got, complex(oracle_drummond_bigfloat(term, 0, 300))) <= self.HIGH_ORDER_BOUND
+
+    def test_rescaled_high_fixed_order(self, monkeypatch):
+        # at |z| = 5e5, N and D pass 2^512 within 300 orders: with the
+        # rescale off they overflow and T is NaN
+        term = HypTerm2F0(complex(1.0), complex(1.0), complex(-3e5, 4e5))
+        got = drummond_2f0_at_order(term, 0, 300)
+        assert rel(got, complex(oracle_drummond_bigfloat(term, 0, 300))) <= self.HIGH_ORDER_BOUND
+        monkeypatch.setattr(_purepy, "_RESCALE_THRESHOLD", math.inf)
+        monkeypatch.setattr(_purepy, "_RESCALE_TINY", 0.0)
+        assert cmath.isnan(drummond_2f0_at_order(term, 0, 300))
 
     def test_finite_for_positive_parameters(self):
         # positive alpha, beta, z keep the denominator polynomials one-signed
