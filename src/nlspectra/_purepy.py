@@ -52,6 +52,14 @@ _RESCALE_TINY = 2.0**-512
 # 3.2 eps per order.
 _ROUNDING_PER_ORDER = 8.0 * sys.float_info.epsilon
 
+# Beyond this k*delta the Maclaurin series is summed in fixed point: in
+# doubles its alternating terms, which peak near e^(k*delta) times the sum,
+# would cancel about k*delta log2(e) of its bits.
+_FLOAT_SERIES_MAX = 6.0
+_LOG2E = 1.4426950408889634
+# Fractional bits of the fixed-point series beyond those its terms cancel.
+_FIXED_POINT_GUARD = 64
+
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
 # on z, so each call of orders 1..k_end-1 reads them from one immutable table
 # shared by every call with the same (alpha, beta, n, k_end). At most
@@ -268,11 +276,15 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
 
     Returns (value, terms, converged, est_rel_err). The n = 1 term is
     exactly -k**2, so the whole sum is built by the term-ratio recurrence
-    with no gamma evaluations. The estimate is the first omitted term plus
-    the rounding of the n-term alternating sum, eps (sqrt(n) + 1) sum |u_j|,
-    both relative to |s|.
+    with no gamma evaluations. Up to k*delta = _FLOAT_SERIES_MAX the sum is
+    in doubles, and the estimate is the first omitted term plus the rounding
+    of the n-term alternating sum, eps (sqrt(n) + 1) sum |u_j|, both
+    relative to |s|; beyond it, in fixed point (``_maclaurin_fixed_point``).
     """
-    y = 0.25 * (k * delta) ** 2
+    x = k * delta
+    if x > _FLOAT_SERIES_MAX:
+        return _maclaurin_fixed_point(d, alpha, k, delta, tol, cap)
+    y = 0.25 * x**2
     u = -(k * k)
     s = u
     au = s_abs = abs(u)
@@ -290,6 +302,64 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
         return (s, n, False, math.inf)
     est = au / a_s + sys.float_info.epsilon * (math.sqrt(n) + 1.0) * s_abs / a_s
     return (s, n, n < cap, est)
+
+
+def _maclaurin_fixed_point(d, alpha, k, delta, tol, cap):
+    """The series of ``maclaurin_lambda`` as lambda = -k^2 F, F = sum t_n,
+    summed in integers at P fractional bits (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 4, on cancellation in alternating
+    sums).
+
+    t_1 = 1 and t_(n+1) = -t_n 2y c_n / ((n+1)(2n+d) c_(n+1)), with
+    y = (k delta)^2 / 4 and c_n = d + 2n - alpha. k, delta and alpha enter
+    as the exact ratios of their doubles, so the only roundings in the loop
+    are the two floors of each step, under 2 units of 2^-P. Each ratio is
+    below (x/2)^2 / n^2 in size, x = k delta, so a run of them multiplies by
+    at most e^x, and the n summed terms and the first omitted one are within
+    n (n+1) e^x units of exact. P = x log2(e) + _FIXED_POINT_GUARD + 4 bits per bit of x keeps
+    that far below the sum, which is at least of order x^-2.
+
+    From n = x/2 on the terms fall in size, so the sum stops there once the
+    next term is below tol |S| (with a margin of up to 2 bits), and it bounds
+    the rest. est_rel_err is that term plus the rounding bound, err, over
+    |S| - err, plus 2 eps for forming F and -k (k F); it is inf where lambda
+    falls below the normal doubles.
+    """
+    x = k * delta
+    kn, kq = float(k).as_integer_ratio()
+    dn, dq = float(delta).as_integer_ratio()
+    an, aq = float(alpha).as_integer_ratio()
+    # the denominators are powers of 2, so 2y = y_num / 2^shift, and
+    # c_n aq is an integer
+    y_num = (kn * dn) ** 2
+    shift = 2 * (kq * dq).bit_length() - 1
+    e_bits = int(x * _LOG2E) + 1  # e^x <= 2^e_bits
+    one = 1 << (e_bits + _FIXED_POINT_GUARD + 4 * int(x).bit_length())
+    # |t| <= 2^(t_bits - 1) and |S| >= 2^(s_bits - 1), so |t| < tol |S|
+    # once t_bits + margin <= s_bits. A tol from 1/2 up acts as 1/2: then
+    # |S| < 2 |F|, which a double holds, however early the sum stops.
+    margin = max(2 - math.frexp(tol)[1], 2)
+    half = int(0.5 * x)
+    c = (d + 2) * aq - an
+    step = 2 * aq
+    s = t = one
+    n = 1
+    while n < cap:
+        c_next = c + step
+        t = -((t * y_num >> shift) * c // ((n + 1) * (2 * n + d) * c_next))
+        if n >= half and t.bit_length() + margin <= s.bit_length():
+            break
+        s += t
+        c = c_next
+        n += 1
+    lam = -(k * (k * (s / one)))
+    err = abs(t) + (n * (n + 1) << e_bits)
+    if abs(s) > err and abs(lam) >= sys.float_info.min:
+        # |S - F| <= err, so |F| >= |S| - err
+        est = err / (abs(s) - err) + 2.0 * sys.float_info.epsilon
+    else:
+        est = math.inf
+    return (lam, n, n < cap, est)
 
 
 def _nan_like(v):

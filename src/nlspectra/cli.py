@@ -21,6 +21,8 @@ from .drummond import HypTerm2F0, _check_tol, drummond_2f0_at_order
 from .errors import NonConvergenceError
 from .spectra import (
     DEFAULT_TOL,
+    HYBRID_SWITCH,
+    MACLAURIN_KDELTA_MAX,
     EvalResult,
     KernelParams,
     lambda_asymptotic,
@@ -225,7 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kdelta-min", type=float, required=True)
     p.add_argument("--kdelta-max", type=float, required=True)
     p.add_argument("--kdelta-steps", type=int, required=True)
-    p.add_argument("--method", choices=("mac", "asy", "hybrid", "both"), default="both")
+    p.add_argument("--method", choices=("mac", "asy", "hybrid", "both"), default="both",
+                   help=f"mac: the series, up to k*delta = {MACLAURIN_KDELTA_MAX:g}; "
+                        "asy: the asymptotic form; hybrid: the series below "
+                        f"k*delta = {HYBRID_SWITCH:g}, the asymptotic form from it on; "
+                        "both: mac and asy columns")
     p.add_argument("--out", required=True)
     p.add_argument("--with-oracle", action="store_true",
                    help="fill error columns against the extended-precision series")

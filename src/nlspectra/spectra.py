@@ -11,9 +11,12 @@ eigenfunction; the eigenvalue lambda depends on the wavevector only through
   functions whose Lommel part is a divergent expansion resummed by
   Drummond's transformation, effective for large k*delta.
 
-``lambda_hybrid`` switches between them at k*delta = 6, where both are
-accurate to near machine precision. Every eigenvalue evaluation is
-independent of all others, so lattice sweeps parallelize trivially.
+The series is summed in doubles up to k*delta = 6 and in fixed-point
+integers beyond, which removes its cancellation. ``lambda_hybrid`` switches
+to the asymptotic form at k*delta = 16, where that becomes the cheaper of
+the two; both are accurate to near machine precision there. Every
+eigenvalue evaluation is independent of all others, so lattice sweeps
+parallelize trivially.
 """
 
 from __future__ import annotations
@@ -45,12 +48,20 @@ __all__ = [
     "apply_to_fourier_coeffs",
 ]
 
-#: Dimensionless switch point between the two evaluation routes.
-HYBRID_SWITCH = 6.0
+#: Dimensionless switch point between the two evaluation routes, where the
+#: fixed-point series and the asymptotic route cost about the same for
+#: d = 1, 3 and 5 (for d = 2 and 10 the series stays cheaper up to about 25).
+HYBRID_SWITCH = 16.0
 
-#: Series cap; at the switch point the series needs only tens of terms, the
-#: cap guards misuse with k*delta far beyond it.
+#: Series cap; below the switch point the series needs at most about 35
+#: terms, the cap guards misuse with k*delta far beyond it.
 MACLAURIN_TERM_CAP = 4000
+
+#: Largest k*delta the series is summed at. It needs about 1.4 k*delta
+#: terms there (2,729 at 2,000, within MACLAURIN_TERM_CAP) and about 3,000
+#: bits of working precision; beyond it ``lambda_maclaurin`` raises
+#: NonConvergenceError at once.
+MACLAURIN_KDELTA_MAX = 2000.0
 
 LATTICE_KMAX_LIMIT = 4096
 
@@ -133,23 +144,31 @@ def lambda_maclaurin(
     """Eigenvalue by the convergent series in (k*delta)^2.
 
     The term recurrence starts from the exact leading term -k^2; summation
-    stops when the next term drops below tol * |partial sum|. Intended for
-    k*delta below the hybrid switch; beyond it the alternating terms grow
-    large and cancellation washes out accuracy.
+    stops when the next term drops below tol * |partial sum|. Up to
+    k*delta = 6 the terms are summed in doubles; beyond, where doubles would
+    lose about k*delta log2(e) bits to their cancellation, in fixed-point
+    integers. Beyond MACLAURIN_KDELTA_MAX, and where (k*delta)^2 leaves the
+    double range, NonConvergenceError is raised at once; where |lambda|
+    leaves it, ValueError.
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
         return _ZERO_RESULT
-    try:
-        value, terms, converged, est = _k.maclaurin_lambda(
-            params.d, params.alpha, k_mod, params.delta, tol, MACLAURIN_TERM_CAP
-        )
-    except OverflowError:
+    kd = k_mod * params.delta
+    if not kd <= MACLAURIN_KDELTA_MAX:
+        if kd * kd == math.inf:
+            why = "(k*delta)^2 exceeds the double range"
+        else:
+            why = f"the series is summed up to k*delta={MACLAURIN_KDELTA_MAX:g} only"
         raise NonConvergenceError(
-            f"series cannot start at k*delta={k_mod * params.delta:g}: "
-            "(k*delta)^2 exceeds the double range",
+            f"series cannot start at k*delta={kd:g}: {why}",
             result=EvalResult(math.nan, "maclaurin", 0, math.inf),
-        ) from None
+        )
+    value, terms, converged, est = _k.maclaurin_lambda(
+        params.d, params.alpha, k_mod, params.delta, tol, MACLAURIN_TERM_CAP
+    )
+    if value == -math.inf:
+        raise _beyond_double_range(params.d, params.alpha, params.delta, kd)
     result = EvalResult(value, "maclaurin", terms, est)
     if not converged:
         raise NonConvergenceError(
@@ -339,10 +358,9 @@ def lambda_asymptotic(
 def lambda_hybrid(
     params: KernelParams, k_mod: float, tol: float = DEFAULT_TOL
 ) -> EvalResult:
-    """Eigenvalue by whichever route is accurate at this k*delta.
-
-    Series for k*delta < 6, asymptotic form for k*delta >= 6, exact zero
-    for the constant mode.
+    """Eigenvalue by the cheaper route at this k*delta: the series below
+    HYBRID_SWITCH, the asymptotic form from it on, exact zero for the
+    constant mode. Both are accurate on either side of the switch.
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
@@ -446,6 +464,8 @@ def apply_to_fourier_coeffs(
             kt = (*map(int, kvec),)
         except (OverflowError, ValueError):  # an infinite or NaN entry
             kt = None
+        except TypeError:  # not iterable, or an entry that is not a number
+            raise ValueError(f"wavevector {kvec!r} is not a sequence of numbers") from None
         # a tuple key of integral entries equals kt; a key of another
         # sequence type never does, so its entries are compared as a tuple
         if kt != kvec and kt != tuple(kvec):

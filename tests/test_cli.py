@@ -34,11 +34,13 @@ class TestEval:
         assert fields[5] == "0" and fields[6] == "zero"
 
     def test_closed_form_value(self, capsys):
-        assert run("eval", "--d", "1", "--alpha", "0", "--delta", "1", "--k", "10") == 0
-        fields = capsys.readouterr().out.strip().split(",")
-        assert fields[6] == "asymptotic"
-        ref = float(oracle_closed_form_d1_a0(1.0, 10.0))
-        assert abs(float(fields[5]) - ref) <= 1e-12 * abs(ref)
+        # one k*delta on each side of the route switch at 16
+        for k, method in (("10", "maclaurin"), ("20", "asymptotic")):
+            assert run("eval", "--d", "1", "--alpha", "0", "--delta", "1", "--k", k) == 0
+            fields = capsys.readouterr().out.strip().split(",")
+            assert fields[6] == method
+            ref = float(oracle_closed_form_d1_a0(1.0, float(k)))
+            assert abs(float(fields[5]) - ref) <= 1e-12 * abs(ref)
 
     def test_json_format(self, capsys):
         assert (
@@ -163,7 +165,7 @@ class TestTable:
         out = tmp_path / "t.csv"
         assert (
             run("table", "--d", "2", "--alpha-min", "1", "--alpha-max", "1",
-                "--alpha-steps", "1", "--kdelta-min", "3", "--kdelta-max", "8",
+                "--alpha-steps", "1", "--kdelta-min", "3", "--kdelta-max", "20",
                 "--kdelta-steps", "2", "--method", method, "--out", str(out)) == 0
         )
         header, rows = read_csv(out)

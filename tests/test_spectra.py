@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import time
 
 import pytest
 from mpmath import mp
@@ -147,6 +149,64 @@ class TestLambdaMaclaurin:
         res = info.value.result
         assert res.method == "maclaurin" and math.isnan(res.lam)
         assert res.est_rel_err == math.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_fixed_point_within_its_estimate(self, d):
+        # beyond k*delta = 6, past the route switch at 16, and at the smallest
+        # alpha whose ratio needs a long denominator
+        kds = [math.nextafter(6.0, 7.0), 6.5, 7.3, 9.0, 11.1, 13.7,
+               math.nextafter(16.0, 0.0), 16.0, 20.0, 25.0, 30.0]
+        for alpha in [0.0, d - 0.5, float(d), d + 2 - 1e-12, 1e-300]:
+            params = KernelParams(d, alpha, 1.0)
+            for kd in kds:
+                ref = oracle_lambda_maclaurin(params, kd)
+                for tol in [10 * EPS, 1e-12, 1e-8]:
+                    res = lambda_maclaurin(params, kd, tol)
+                    assert res.method == "maclaurin"
+                    with mp.workprec(256):
+                        err = abs((res.lam - ref) / ref)
+                    assert err <= res.est_rel_err, (alpha, kd, tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("kd", [6.0, HYBRID_SWITCH])
+    def test_no_jump_where_the_summation_or_route_changes(self, d, kd):
+        # from the float sum to the fixed-point one at 6, and on to the
+        # asymptotic route at the switch: neighbouring doubles of k*delta
+        # agree to within their estimates and the slope of lambda
+        for alpha in [0.0, d - 0.5, float(d), d + 1.9]:
+            params = KernelParams(d, alpha, 1.0)
+            lo = lambda_hybrid(params, math.nextafter(kd, 0.0))
+            hi = lambda_hybrid(params, math.nextafter(kd, math.inf))
+            assert lo.method == "maclaurin"
+            assert hi.method == ("maclaurin" if kd < HYBRID_SWITCH else "asymptotic")
+            bound = lo.est_rel_err + hi.est_rel_err + 8 * EPS
+            assert rel(hi.lam, lo.lam) <= bound, (alpha, kd)
+
+    @pytest.mark.parametrize("delta,k", [(1e200, 1e200), (1.0, 1e5), (1e-3, 2.1e6)])
+    def test_beyond_the_series_reach_is_nonconvergence_at_once(self, delta, k):
+        # k*delta = inf, 1e5 and 2100: no loop of NaN terms, no OverflowError
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="series cannot start") as info:
+            lambda_maclaurin(KernelParams(3, 2.0, delta), k)
+        assert time.perf_counter() - start < 0.5
+        res = info.value.result
+        assert res.method == "maclaurin" and math.isnan(res.lam)
+        assert res.est_rel_err == math.inf
+
+    def test_fixed_point_lambda_outside_the_double_range(self):
+        # k*delta = 10: |lambda| ~ 1e320 is named, ~ 1e-400 is unestimated
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            lambda_maclaurin(KernelParams(3, 2.0, 1e-160), 10.0 / 1e-160)
+        res = lambda_maclaurin(KernelParams(3, 2.0, 1e201), 10.0 / 1e201)
+        assert abs(res.lam) < 2.2250738585072014e-308 and res.est_rel_err == math.inf
+
+    def test_reach_of_the_series(self):
+        # the last k*delta the guard lets through stays within the term cap
+        params = KernelParams(3, 2.0, 1.0)
+        res = lambda_maclaurin(params, spectra.MACLAURIN_KDELTA_MAX, 1e300)
+        assert res.terms < spectra.MACLAURIN_TERM_CAP
+        res = lambda_maclaurin(params, spectra.MACLAURIN_KDELTA_MAX)
+        assert res.terms < spectra.MACLAURIN_TERM_CAP and res.est_rel_err < 1e-15
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_estimate_bounds_the_error(self, d):
@@ -395,7 +455,10 @@ class TestLambdaHybrid:
         assert lambda_hybrid(KernelParams(3, 2.0, 1.0), 5.9).method == "maclaurin"
 
     def test_dispatch_at_switch(self):
-        assert lambda_hybrid(KernelParams(3, 2.0, 1.0), 6.0).method == "asymptotic"
+        params = KernelParams(3, 2.0, 1.0)
+        assert HYBRID_SWITCH == 16.0
+        assert lambda_hybrid(params, 16.0).method == "asymptotic"
+        assert lambda_hybrid(params, math.nextafter(16.0, 0.0)).method == "maclaurin"
 
     def test_no_jump_across_switch(self):
         params = KernelParams(3, 2.0, 1.0)
@@ -432,9 +495,11 @@ class TestLambdaHybrid:
 
     def test_tol_is_honoured_on_a_lattice(self):
         # every 50th squared norm of the d=3, kmax=64 lattice, both routes
-        params = KernelParams(3, 2.0, 0.1)
+        # and both ways of summing the series
+        params = KernelParams(3, 2.0, 0.3)
         ms = achievable_squared_norms(3, 64)[1::50]
         assert sum(math.sqrt(m) * params.delta >= HYBRID_SWITCH for m in ms) >= 100
+        assert sum(6.0 < math.sqrt(m) * params.delta < HYBRID_SWITCH for m in ms) >= 30
         for m in ms:
             ref = oracle_lambda_maclaurin(params, math.sqrt(m))
             for tol in [10 * EPS, 1e-12, 1e-8, 1e-5]:
@@ -463,14 +528,16 @@ class TestLambdaHybrid:
     def test_tiny_alpha_within_estimate(self, d):
         # from 1e-17 down (and 1.2e-16 at d = 3, 3e-16 at d = 10),
         # (d - alpha)/2 rounds to d/2 and the gamma-ratio part takes its
-        # alpha = 0 form rather than meet the pole of Gamma(0)
+        # alpha = 0 form rather than meet the pole of Gamma(0); the
+        # fixed-point series takes such an alpha as an exact ratio
         for alpha in [5e-324, 1e-300, 1e-100, 1e-17, 1.2e-16, 3e-16, 1e-12, 1e-8]:
             params = KernelParams(d, alpha, 1.0)
             for kd in (6.5, 30.0):
-                res = lambda_hybrid(params, kd)
-                assert res.method == "asymptotic"
-                err = rel(res.lam, oracle_lambda_maclaurin(params, kd))
-                assert err <= res.est_rel_err, (alpha, kd)
+                ref = oracle_lambda_maclaurin(params, kd)
+                for route in (lambda_asymptotic, lambda_maclaurin):
+                    res = route(params, kd)
+                    err = rel(res.lam, ref)
+                    assert err <= res.est_rel_err, (route.__name__, alpha, kd)
 
 
 class TestLattice:
@@ -619,6 +686,13 @@ class TestApplyToFourierCoeffs:
             apply_to_fourier_coeffs(params, {(1.5, 0): 1.0, (1, 0): 2.0})
         out = apply_to_fourier_coeffs(params, {(2.0, 0): 1.0})
         assert out == {(2, 0): lambda_hybrid(params, 2.0).lam}
+
+    @pytest.mark.parametrize("key", [5, None, (1, None)])
+    def test_wavevector_not_a_sequence_of_numbers_rejected(self, key):
+        # 5 used to raise a bare TypeError from map(int, 5)
+        params = KernelParams(2, 1.0, 0.5)
+        with pytest.raises(ValueError, match=rf"wavevector {re.escape(repr(key))} is not"):
+            apply_to_fourier_coeffs(params, {(1, 0): 1.0, key: 1.0})
 
     @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
     def test_non_finite_wavevector_rejected(self, entry):
