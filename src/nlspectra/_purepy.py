@@ -59,6 +59,14 @@ _FLOAT_SERIES_MAX = 6.0
 _LOG2E = 1.4426950408889634
 # Fractional bits of the fixed-point series beyond those its terms cancel.
 _FIXED_POINT_GUARD = 64
+# Beyond k*delta = 6, |F| >= _SUM_FLOOR / (k*delta)^2 (see
+# _maclaurin_fixed_point); the number of terms is first chosen against it.
+_SUM_FLOOR = 4.0
+# The fixed-point sum stops once the first omitted term is below tol |S| by
+# this many bits.
+_STOP_MARGIN_BITS = 1.0
+# Rows of the smallest ratio table; larger ones double it.
+_RATIO_ROWS_MIN = 32
 
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
 # on z, so each call of orders 1..k_end-1 reads them from one immutable table
@@ -280,10 +288,18 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     in doubles, and the estimate is the first omitted term plus the rounding
     of the n-term alternating sum, eps (sqrt(n) + 1) sum |u_j|, both
     relative to |s|; beyond it, in fixed point (``_maclaurin_fixed_point``).
+    Where k^2 alone leaves the double range the sum runs at k 2^-512 and
+    delta 2^512, the same k*delta, and is scaled back; a lambda beyond the
+    double range comes back as -inf.
     """
     x = k * delta
     if x > _FLOAT_SERIES_MAX:
         return _maclaurin_fixed_point(d, alpha, k, delta, tol, cap)
+    if k * k == math.inf:
+        lam, n, converged, est = maclaurin_lambda(
+            d, alpha, k * _RESCALE_TINY, delta * _RESCALE_THRESHOLD, tol, cap
+        )
+        return (lam * _RESCALE_THRESHOLD * _RESCALE_THRESHOLD, n, converged, est)
     y = 0.25 * x**2
     u = -(k * k)
     s = u
@@ -304,62 +320,123 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     return (s, n, n < cap, est)
 
 
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _ratio_table(d, alpha, q, size):
+    """The term ratios of the series for (d, alpha), rows n = 1..size-1 of
+    two tuples (row 0 unused): R_n = floor(rho_n 2^q), the exact ratio
+
+        rho_n = c_n / ((n+1)(2n+d) c_(n+1)),   c_n = d + 2n - alpha,
+
+    floored from integers, and L_n = log2(rho_1 ... rho_(n-1)), through
+    n = size, so that log2 |t_n| = L_n + (n-1) log2(2y). Built whole and
+    never changed."""
+    an, aq = float(alpha).as_integer_ratio()
+    step = 2 * aq
+    c = (d + 2) * aq - an  # c_1 aq
+    rows = [0]
+    logs = [0.0, 0.0]
+    for n in range(1, size):
+        c_next = c + step
+        r = (c << q) // ((n + 1) * (2 * n + d) * c_next)
+        rows.append(r)
+        logs.append(logs[-1] + math.log2(r) - q)
+        c = c_next
+    return tuple(rows), tuple(logs)
+
+
 def _maclaurin_fixed_point(d, alpha, k, delta, tol, cap):
     """The series of ``maclaurin_lambda`` as lambda = -k^2 F, F = sum t_n,
-    summed in integers at P fractional bits (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., ch. 4, on cancellation in alternating
-    sums).
+    summed backwards by Horner's rule in integers at p fractional bits
+    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    ch. 5).
 
-    t_1 = 1 and t_(n+1) = -t_n 2y c_n / ((n+1)(2n+d) c_(n+1)), with
-    y = (k delta)^2 / 4 and c_n = d + 2n - alpha. k, delta and alpha enter
-    as the exact ratios of their doubles, so the only roundings in the loop
-    are the two floors of each step, under 2 units of 2^-P. Each ratio is
-    below (x/2)^2 / n^2 in size, x = k delta, so a run of them multiplies by
-    at most e^x, and the n summed terms and the first omitted one are within
-    n (n+1) e^x units of exact. P = x log2(e) + _FIXED_POINT_GUARD + 4 bits per bit of x keeps
-    that far below the sum, which is at least of order x^-2.
+    t_1 = 1 and t_(n+1) = -t_n 2y rho_n, with y = (k delta)^2 / 4 and the
+    ratios rho_n of ``_ratio_table``, so the sum of N terms is
+    S_N = 1 - 2y rho_1 (1 - 2y rho_2 (... (1 - 2y rho_(N-1)))). From S = 1
+    the pass runs n = N-1..1:
 
-    From n = x/2 on the terms fall in size, so the sum stops there once the
-    next term is below tol |S| (with a margin of up to 2 bits), and it bounds
-    the rest. est_rel_err is that term plus the rounding bound, err, over
+        S <- one - ((S R_n >> q) y_num >> shift),   one = 2^p,
+
+    where y_num / 2^shift = 2y exactly (k and delta enter as the exact
+    ratios of their doubles). Each ratio rho_n 2y is below (x/2)^2 / n^2,
+    x = k delta, so no intermediate exceeds I_0(x) <= e^x <= 2^e_bits, the
+    terms sum to at most e^x in size, and p = e_bits + _FIXED_POINT_GUARD
+    + 4 bits per bit of x keeps the cancellation far from the result, which
+    is at least 4 / x^2 (below). q, the first multiple of 32 above
+    p + e_bits, makes the floor of R_n cost at most y units of 2^-p a step,
+    and the two shifts cost under 2y + 1; the error of step n reaches S
+    multiplied by |t_n|, so S is within (x^2 + 2) e^x units of 2^-p of the
+    sum of its N terms.
+
+    N is chosen before the pass. From n = x/2 on the terms fall in size, so
+    the first omitted term bounds the rest; N is the first n >= x/2 with
+    log2 |t_(N+1)| = L_(N+1) + N log2(2y) below tol |S| by
+    _STOP_MARGIN_BITS, taken against |S| >= _SUM_FLOOR / x^2. F x^2 is the
+    kernel's average of 1 - cos, 2 (d + 2) (1 + o(1)) at alpha = 0 and more
+    for alpha > 0; the smallest value measured over d 1..10, alpha in
+    [0, d+2) and x in [6, 2000] is 5.23 (d = 1, alpha = 0, x = 7.7). Once S
+    is known, the same test runs against |S| itself; should it fail, N
+    grows and the pass runs again. A tol from 1/2 up acts as 1/2: then
+    |S| < 2 |F|, which a double holds, however early the sum stops. The
+    ratio tables hold the rows the call reaches, 32 or a power of 2 above.
+
+    est_rel_err is the first omitted term plus the rounding bound, err, over
     |S| - err, plus 2 eps for forming F and -k (k F); it is inf where lambda
     falls below the normal doubles.
     """
     x = k * delta
     kn, kq = float(k).as_integer_ratio()
     dn, dq = float(delta).as_integer_ratio()
-    an, aq = float(alpha).as_integer_ratio()
-    # the denominators are powers of 2, so 2y = y_num / 2^shift, and
-    # c_n aq is an integer
+    # the denominators are powers of 2, so 2y = y_num / 2^shift
     y_num = (kn * dn) ** 2
     shift = 2 * (kq * dq).bit_length() - 1
     e_bits = int(x * _LOG2E) + 1  # e^x <= 2^e_bits
-    one = 1 << (e_bits + _FIXED_POINT_GUARD + 4 * int(x).bit_length())
-    # |t| <= 2^(t_bits - 1) and |S| >= 2^(s_bits - 1), so |t| < tol |S|
-    # once t_bits + margin <= s_bits. A tol from 1/2 up acts as 1/2: then
-    # |S| < 2 |F|, which a double holds, however early the sum stops.
-    margin = max(2 - math.frexp(tol)[1], 2)
-    half = int(0.5 * x)
-    c = (d + 2) * aq - an
-    step = 2 * aq
-    s = t = one
-    n = 1
-    while n < cap:
-        c_next = c + step
-        t = -((t * y_num >> shift) * c // ((n + 1) * (2 * n + d) * c_next))
-        if n >= half and t.bit_length() + margin <= s.bit_length():
+    p = e_bits + _FIXED_POINT_GUARD + 4 * int(x).bit_length()
+    one = 1 << p
+    # a multiple of 32, so that nearby k*delta share a table
+    q = (p + e_bits) // 32 * 32 + 32
+    log_x = math.log2(x)
+    log_2y = 2.0 * log_x - 1.0
+    log_tol = min(math.log2(tol), -1.0) - _STOP_MARGIN_BITS
+    goal = log_tol + math.log2(_SUM_FLOOR) - 2.0 * log_x
+    n = min(math.ceil(0.5 * x), cap)
+    while True:
+        # the first n with log2 |t_(n+1)| <= goal, from a table that has it
+        size = _RATIO_ROWS_MIN
+        while True:
+            ratios, logs = _ratio_table(d, alpha, q, size)
+            hi = min(size - 1, cap)
+            if hi == cap or (hi >= n and logs[hi + 1] + hi * log_2y <= goal):
+                break
+            size *= 2
+        while n < hi:
+            mid = (n + hi) >> 1
+            if logs[mid + 1] + mid * log_2y > goal:
+                n = mid + 1
+            else:
+                hi = mid
+        s = one
+        for r in ratios[n - 1:0:-1]:
+            s = one - ((s * r >> q) * y_num >> shift)
+        f = s / one
+        log_f = math.log2(f) if f > 0.0 else -math.inf
+        log_t = logs[n + 1] + n * log_2y  # log2 |t_(n+1)|
+        converged = log_t <= log_tol + log_f
+        if converged or n == cap:
             break
-        s += t
-        c = c_next
+        if f > 0.0:
+            goal = log_tol + log_f
         n += 1
-    lam = -(k * (k * (s / one)))
-    err = abs(t) + (n * (n + 1) << e_bits)
-    if abs(s) > err and abs(lam) >= sys.float_info.min:
-        # |S - F| <= err, so |F| >= |S| - err
-        est = err / (abs(s) - err) + 2.0 * sys.float_info.epsilon
+    lam = -(k * (k * f))
+    rel_t = log_t - log_f  # log2 of |t_(n+1)| / |S|
+    if rel_t < 0.0 and abs(lam) >= sys.float_info.min:
+        # err is relative to |S|, and |F| >= |S| (1 - err)
+        err = 2.0**rel_t + math.ldexp(x * x + 2.0, e_bits - p) / f
+        est = err / (1.0 - err) + 2.0 * sys.float_info.epsilon if err < 1.0 else math.inf
     else:
         est = math.inf
-    return (lam, n, n < cap, est)
+    return (lam, n, converged, est)
 
 
 def _nan_like(v):

@@ -254,10 +254,10 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     Reliable for x of a few and beyond (the eigenvalue formulas call it
     with x >= 6); raises NonConvergenceError, carrying the TransformResult,
     when the resummation cannot reach ``tol`` within ``DEFAULT_KMAX`` orders.
-    At the default tol the estimate covers the rounding, which grows with
-    the order; at a looser tol the stopping rule can fire while the
-    approximants are still far from their limit, and near x = 6 the error
-    can then exceed the estimate by a few hundred times. Where S falls
+    A tol looser than ``DEFAULT_TOL`` acts as ``DEFAULT_TOL``: at a looser
+    one the stopping rule can fire while the approximants are still far
+    from their limit. The estimate covers the rounding, which grows with
+    the order. Where S falls
     below the normal doubles (x^(mu-1) at large x and negative mu) it comes
     back as 0 or a subnormal, accurate only in absolute terms, with
     ``converged`` set and the estimate of the resummation. Raises
@@ -269,7 +269,7 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     _check_tol(tol)
     if 0.25 * x * x == 0.0:
         raise _tiny_argument_error(x)
-    res = _lommel(mu, nu, x, tol)
+    res = _lommel(mu, nu, x, min(tol, DEFAULT_TOL))
     if not res.converged:
         raise NonConvergenceError(
             f"Lommel S resummation stalled at order {res.order} "

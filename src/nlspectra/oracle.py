@@ -83,11 +83,14 @@ def oracle_lambda_maclaurin(params, k_mod) -> BigReal:
     """Ground-truth eigenvalue: the convergent series summed from its
     definition until terms drop below 2^-180 of the partial sum.
 
-    The working precision grows with k_mod * delta to absorb the series'
-    cancellation. Tractable for k_mod * delta up to around 200.
+    Term n is (-y)^n / (n! Gamma(n + d/2)) (d + 2 - alpha) / (d + 2n - alpha),
+    y = (k delta / 2)^2, with the factor (-y)^n / (n! Gamma(n + d/2)) carried
+    from term n - 1. The working precision grows with k_mod * delta to
+    absorb the series' cancellation. Tractable for k_mod * delta up to 2000,
+    the reach of the package's series.
     """
-    if k_mod and k_mod * params.delta > 200.0:
-        raise ValueError("oracle series length impractical beyond k*delta = 200")
+    if k_mod and k_mod * params.delta > 2000.0:
+        raise ValueError("oracle series length impractical beyond k*delta = 2000")
     with mp.workprec(_maclaurin_precision(k_mod * params.delta)):
         if k_mod == 0:
             return mp.mpf(0)
@@ -95,16 +98,14 @@ def oracle_lambda_maclaurin(params, k_mod) -> BigReal:
         a = mp.mpf(params.alpha)
         delta = mp.mpf(params.delta)
         y = (mp.mpf(k_mod) * delta / 2) ** 2
-        pref = 4 * mp.gamma(mp.mpf(d) / 2 + 1) / delta**2
+        half_d = mp.mpf(d) / 2
+        pref = 4 * mp.gamma(half_d + 1) / delta**2
         s = mp.mpf(0)
         stop = mp.mpf(2) ** -180
+        g = 1 / mp.gamma(half_d)  # (-y)^n / (n! Gamma(n + d/2)) at n = 0
         for n in range(1, _ORACLE_TERM_CAP + 1):
-            t = (
-                (-y) ** n
-                / (mp.factorial(n) * mp.gamma(n + mp.mpf(d) / 2))
-                * (d + 2 - a)
-                / (d + 2 * n - a)
-            )
+            g *= -y / (n * (n - 1 + half_d))
+            t = g * (d + 2 - a) / (d + 2 * n - a)
             s += t
             if abs(t) < stop * abs(s):
                 return pref * s

@@ -12,9 +12,13 @@ eigenfunction; the eigenvalue lambda depends on the wavevector only through
   Drummond's transformation, effective for large k*delta.
 
 The series is summed in doubles up to k*delta = 6 and in fixed-point
-integers beyond, which removes its cancellation. ``lambda_hybrid`` switches
-to the asymptotic form at k*delta = 16, where that becomes the cheaper of
-the two; both are accurate to near machine precision there. Every
+integers beyond, which removes its cancellation: backwards, by Horner's
+rule over the exact term ratios of (d, alpha), floored to Q bits and kept
+in a table per (d, alpha), with the number of terms chosen before the pass
+from the logarithms of those ratios and checked after it against the sum.
+``lambda_hybrid`` switches to the asymptotic form at k*delta = 28, where
+that becomes the cheaper of the two; both are accurate to near machine
+precision there. Every
 eigenvalue evaluation is independent of all others, so lattice sweeps
 parallelize trivially.
 """
@@ -50,15 +54,16 @@ __all__ = [
 
 #: Dimensionless switch point between the two evaluation routes, where the
 #: fixed-point series and the asymptotic route cost about the same for
-#: d = 1, 3 and 5 (for d = 2 and 10 the series stays cheaper up to about 25).
-HYBRID_SWITCH = 16.0
+#: d = 1, 3 and 5 (from 26 to 29; for d = 2 and 10 the series stays the
+#: cheaper beyond 40).
+HYBRID_SWITCH = 28.0
 
-#: Series cap; below the switch point the series needs at most about 35
+#: Series cap; below the switch point the series needs at most about 50
 #: terms, the cap guards misuse with k*delta far beyond it.
 MACLAURIN_TERM_CAP = 4000
 
 #: Largest k*delta the series is summed at. It needs about 1.4 k*delta
-#: terms there (2,729 at 2,000, within MACLAURIN_TERM_CAP) and about 3,000
+#: terms there (2,725 at 2,000, within MACLAURIN_TERM_CAP) and about 3,000
 #: bits of working precision; beyond it ``lambda_maclaurin`` raises
 #: NonConvergenceError at once.
 MACLAURIN_KDELTA_MAX = 2000.0
@@ -276,7 +281,9 @@ def lambda_asymptotic(
     Combines the stabilized gamma-ratio part with a Bessel/Lommel part of
     orders tied to the dimension; the two Lommel factors are resummed
     divergent expansions, so ``terms`` reports the larger resummation order
-    and non-convergence propagates as NonConvergenceError. ``est_rel_err``
+    and non-convergence propagates as NonConvergenceError. They are resummed
+    at DEFAULT_TOL whatever ``tol``: at a looser tol the resummation's early
+    exit can fire far from its limit, and its estimate with it. ``est_rel_err``
     carries the error of each part (the Lommel estimates, a bound on the
     Bessel error, the rounding of the gamma-ratio part) through their sum,
     so cancellation between the parts raises it. From
@@ -317,8 +324,8 @@ def lambda_asymptotic(
         lam = _over_delta_squared(c, part_a, d, alpha, delta, kd)
         return _asymptotic_result(lam, 0, est)
     try:
-        s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, tol)
-        s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, tol)
+        s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, DEFAULT_TOL)
+        s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, DEFAULT_TOL)
         w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
     except (OverflowError, ValueError) as exc:
         # only a tiny kd gets here: z = kd^2/4 underflows, or a power of kd

@@ -34,8 +34,8 @@ class TestEval:
         assert fields[5] == "0" and fields[6] == "zero"
 
     def test_closed_form_value(self, capsys):
-        # one k*delta on each side of the route switch at 16
-        for k, method in (("10", "maclaurin"), ("20", "asymptotic")):
+        # one k*delta on each side of the route switch at 28
+        for k, method in (("10", "maclaurin"), ("40", "asymptotic")):
             assert run("eval", "--d", "1", "--alpha", "0", "--delta", "1", "--k", k) == 0
             fields = capsys.readouterr().out.strip().split(",")
             assert fields[6] == method
@@ -165,7 +165,7 @@ class TestTable:
         out = tmp_path / "t.csv"
         assert (
             run("table", "--d", "2", "--alpha-min", "1", "--alpha-max", "1",
-                "--alpha-steps", "1", "--kdelta-min", "3", "--kdelta-max", "20",
+                "--alpha-steps", "1", "--kdelta-min", "3", "--kdelta-max", "40",
                 "--kdelta-steps", "2", "--method", method, "--out", str(out)) == 0
         )
         header, rows = read_csv(out)

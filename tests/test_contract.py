@@ -1,13 +1,13 @@
 """The accuracy contract over the admissible inputs, on a seeded sample.
 
-Every ``lambda_hybrid`` call at tol = 10 eps either returns a value within
-its ``est_rel_err`` of the mpmath series or raises ``ValueError`` or
-``NonConvergenceError``. Cases are drawn with stdlib ``random`` from a fixed
-seed in strata of alpha (0, d, just below d + 2, tiny, uniform) and of
-k*delta (log-uniform in [0.01, 150], with extra draws around the route
-switch at 6). Beyond k*delta = 200, where the series oracle is out of
-reach, the gamma-ratio part and the two Lommel factors of the asymptotic
-form are checked against their own oracles.
+Every ``lambda_hybrid`` call at tol = 10 eps, 1e-12 and 1e-8 either
+returns a value within its ``est_rel_err`` of the mpmath series or raises
+``ValueError`` or ``NonConvergenceError``. Cases are drawn with stdlib
+``random`` from a fixed seed in strata of alpha (0, d, just below d + 2,
+tiny, uniform) and of k*delta (log-uniform in [0.01, 150], with extra draws
+around the change of summation at 6). Beyond k*delta = 200 the gamma-ratio
+part and the two Lommel factors of the asymptotic form are checked against
+their own oracles.
 """
 
 import math
@@ -28,6 +28,7 @@ SEED = 20181
 CASES = 2000
 HUGE_CASES = 40
 ALPHA_STRATA = ("zero", "d", "below_d_plus_2", "tiny", "uniform")
+TOLS = (10 * EPS, 1e-12, 1e-8)
 
 
 def _draw_alpha(rng, stratum, d):
@@ -48,16 +49,17 @@ def _draw_kdelta(rng, i):
     return 10.0 ** rng.uniform(-2, math.log10(150.0))
 
 
-def _outcome(params, k):
+def _outcome(params, k, tol=DEFAULT_TOL):
     """The result of ``lambda_hybrid``, or None where it raised a typed
     error; any other exception propagates and fails the test."""
     try:
-        return lambda_hybrid(params, k, DEFAULT_TOL)
+        return lambda_hybrid(params, k, tol)
     except (ValueError, NonConvergenceError):
         return None
 
 
 def test_hybrid_within_its_estimate_of_the_series_oracle():
+    # each case at every tol in TOLS, against one oracle value
     rng = random.Random(SEED)
     failures = []
     for i in range(CASES):
@@ -67,14 +69,17 @@ def test_hybrid_within_its_estimate_of_the_series_oracle():
         delta = 10.0 ** rng.uniform(-2, 2)
         params = KernelParams(d, alpha, delta)
         k = kd / delta
-        res = _outcome(params, k)
-        if res is None:
+        results = [(tol, _outcome(params, k, tol)) for tol in TOLS]
+        if all(res is None for _, res in results):
             continue
         ref = oracle_lambda_maclaurin(params, k)
-        with mp.workprec(256):
-            err = float(abs((res.lam - ref) / ref))
-        if not err <= res.est_rel_err:
-            failures.append((d, alpha, delta, k, res, err))
+        for tol, res in results:
+            if res is None:
+                continue
+            with mp.workprec(256):
+                err = float(abs((res.lam - ref) / ref))
+            if not err <= res.est_rel_err:
+                failures.append((d, alpha, delta, k, tol, res, err))
     assert not failures, failures[:5]
 
 

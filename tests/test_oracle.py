@@ -36,7 +36,7 @@ class TestMaclaurinOracle:
             val = oracle_lambda_maclaurin(KernelParams(3, 2.0, 1.0), 6.0)
             assert abs((val - mp.mpf(LAMBDA_D3_A2_K6)) / val) < mp.mpf(10) ** -38
 
-    @pytest.mark.parametrize("kd", [170.0, 190.0, 200.0])
+    @pytest.mark.parametrize("kd", [170.0, 190.0, 200.0, 2000.0])
     def test_precision_grows_with_kdelta(self, kd):
         # about kd log2(e) bits cancel in the series; 256 bits alone give an
         # error of 2e-7 at kd = 170 and 1.5e6 at kd = 200
@@ -47,7 +47,7 @@ class TestMaclaurinOracle:
 
     def test_series_length_guard(self):
         with pytest.raises(ValueError):
-            oracle_lambda_maclaurin(KernelParams(1, 0.0, 1.0), 300.0)
+            oracle_lambda_maclaurin(KernelParams(1, 0.0, 1.0), 2100.0)
 
 
 class TestDrummondOracle:

@@ -150,12 +150,24 @@ class TestLambdaMaclaurin:
         assert res.method == "maclaurin" and math.isnan(res.lam)
         assert res.est_rel_err == math.inf
 
+    def test_float_series_where_k_squared_overflows(self):
+        # k*delta = 5.88 and 1: k^2 leaves the double range, lambda = -7.7e307
+        # does not and is summed without a term of NaN; lambda ~ -1e400 does
+        params = KernelParams(3, 2.0, 4.2e-154)
+        res = lambda_maclaurin(params, 1.4e154)
+        assert res.method == "maclaurin"
+        assert rel(res.lam, oracle_lambda_maclaurin(params, 1.4e154)) <= res.est_rel_err
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            lambda_maclaurin(KernelParams(3, 2.0, 1e-200), 1e200)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_fixed_point_within_its_estimate(self, d):
-        # beyond k*delta = 6, past the route switch at 16, and at the smallest
-        # alpha whose ratio needs a long denominator
+        # beyond k*delta = 6, on both sides of the route switch, out to the
+        # series' reach (long ratio tables, a large q), and at the smallest
+        # alpha whose ratio needs a long denominator; never fewer terms than
+        # k*delta / 2, from where the terms fall
         kds = [math.nextafter(6.0, 7.0), 6.5, 7.3, 9.0, 11.1, 13.7,
-               math.nextafter(16.0, 0.0), 16.0, 20.0, 25.0, 30.0]
+               math.nextafter(16.0, 0.0), 16.0, 20.0, 25.0, 30.0, 100.0, 500.0, 2000.0]
         for alpha in [0.0, d - 0.5, float(d), d + 2 - 1e-12, 1e-300]:
             params = KernelParams(d, alpha, 1.0)
             for kd in kds:
@@ -163,9 +175,42 @@ class TestLambdaMaclaurin:
                 for tol in [10 * EPS, 1e-12, 1e-8]:
                     res = lambda_maclaurin(params, kd, tol)
                     assert res.method == "maclaurin"
+                    assert res.terms >= math.ceil(kd / 2), (alpha, kd, tol)
                     with mp.workprec(256):
                         err = abs((res.lam - ref) / ref)
                     assert err <= res.est_rel_err, (alpha, kd, tol)
+
+    @pytest.mark.parametrize("kd", [10.0, 20.0, 100.0])
+    def test_fixed_point_extends_a_short_first_choice(self, kd, monkeypatch):
+        # the number of terms is first chosen against a lower bound on the
+        # sum; with that bound raised far above the sum, the first choice is
+        # short, and the check against the sum itself must run the backward
+        # pass again with more terms rather than return
+        params = KernelParams(3, 2.0137, 1.0)
+        ref = oracle_lambda_maclaurin(params, kd)
+        lookups = []
+        table = _purepy._ratio_table
+        floor = _purepy._SUM_FLOOR
+
+        def counted(*args):
+            lookups.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(_purepy, "_ratio_table", counted)
+        for tol in [10 * EPS, 1e-8]:
+            lookups.clear()
+            plain = lambda_maclaurin(params, kd, tol)
+            plain_lookups = len(lookups)
+            monkeypatch.setattr(_purepy, "_SUM_FLOOR", 2.0**40)
+            lookups.clear()
+            res = lambda_maclaurin(params, kd, tol)
+            monkeypatch.setattr(_purepy, "_SUM_FLOOR", floor)
+            assert len(lookups) > plain_lookups, (kd, tol)
+            assert res.terms >= math.ceil(kd / 2)
+            with mp.workprec(256):
+                err = abs((res.lam - ref) / ref)
+            assert err <= res.est_rel_err and err <= tol, (kd, tol)
+            assert rel(res.lam, plain.lam) <= res.est_rel_err + plain.est_rel_err
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("kd", [6.0, HYBRID_SWITCH])
@@ -456,9 +501,9 @@ class TestLambdaHybrid:
 
     def test_dispatch_at_switch(self):
         params = KernelParams(3, 2.0, 1.0)
-        assert HYBRID_SWITCH == 16.0
-        assert lambda_hybrid(params, 16.0).method == "asymptotic"
-        assert lambda_hybrid(params, math.nextafter(16.0, 0.0)).method == "maclaurin"
+        assert HYBRID_SWITCH == 28.0
+        assert lambda_hybrid(params, 28.0).method == "asymptotic"
+        assert lambda_hybrid(params, math.nextafter(28.0, 0.0)).method == "maclaurin"
 
     def test_no_jump_across_switch(self):
         params = KernelParams(3, 2.0, 1.0)
@@ -496,7 +541,7 @@ class TestLambdaHybrid:
     def test_tol_is_honoured_on_a_lattice(self):
         # every 50th squared norm of the d=3, kmax=64 lattice, both routes
         # and both ways of summing the series
-        params = KernelParams(3, 2.0, 0.3)
+        params = KernelParams(3, 2.0, 0.5)
         ms = achievable_squared_norms(3, 64)[1::50]
         assert sum(math.sqrt(m) * params.delta >= HYBRID_SWITCH for m in ms) >= 100
         assert sum(6.0 < math.sqrt(m) * params.delta < HYBRID_SWITCH for m in ms) >= 30

@@ -28,7 +28,7 @@ def test_traced_call_is_counted_and_wrappers_removed():
     tracer = spans.Tracer()
     with spans.installed(tracer):
         # looked up at call time, as the benchmark's callers do
-        spectra.lambda_hybrid(KernelParams(3, 2.0, 1.0), 20.0)
+        spectra.lambda_hybrid(KernelParams(3, 2.0, 1.0), 40.0)
     summary = tracer.summary()
     assert summary["spectra.lambda_hybrid.calls"] == 1
     assert summary["spectra.lambda_asymptotic.calls"] == 1
