@@ -52,16 +52,13 @@ _RESCALE_TINY = 2.0**-512
 # 3.2 eps per order.
 _ROUNDING_PER_ORDER = 8.0 * sys.float_info.epsilon
 
-# Beyond this k*delta the Maclaurin series is summed in fixed point: in
-# doubles its alternating terms, which peak near e^(k*delta) times the sum,
-# would cancel about k*delta log2(e) of its bits.
-_FLOAT_SERIES_MAX = 6.0
 _LOG2E = 1.4426950408889634
 # Fractional bits of the fixed-point series beyond those its terms cancel.
 _FIXED_POINT_GUARD = 64
-# Beyond k*delta = 6, |F| >= _SUM_FLOOR / (k*delta)^2 (see
-# _maclaurin_fixed_point); the number of terms is first chosen against it.
+# |F| >= _SUM_FLOOR / max((k*delta)^2, 5) (see maclaurin_lambda); the
+# number of terms is first chosen against it.
 _SUM_FLOOR = 4.0
+_LOG2_5 = math.log2(5.0)
 # The fixed-point sum stops once the first omitted term is below tol |S| by
 # this many bits.
 _STOP_MARGIN_BITS = 1.0
@@ -279,47 +276,6 @@ def stable_prefactor(x, log_y, z):
     return math.expm1(t) / x, t
 
 
-def maclaurin_lambda(d, alpha, k, delta, tol, cap):
-    """Small-k*delta eigenvalue series, prefactor included.
-
-    Returns (value, terms, converged, est_rel_err). The n = 1 term is
-    exactly -k**2, so the whole sum is built by the term-ratio recurrence
-    with no gamma evaluations. Up to k*delta = _FLOAT_SERIES_MAX the sum is
-    in doubles, and the estimate is the first omitted term plus the rounding
-    of the n-term alternating sum, eps (sqrt(n) + 1) sum |u_j|, both
-    relative to |s|; beyond it, in fixed point (``_maclaurin_fixed_point``).
-    Where k^2 alone leaves the double range the sum runs at k 2^-512 and
-    delta 2^512, the same k*delta, and is scaled back; a lambda beyond the
-    double range comes back as -inf.
-    """
-    x = k * delta
-    if x > _FLOAT_SERIES_MAX:
-        return _maclaurin_fixed_point(d, alpha, k, delta, tol, cap)
-    if k * k == math.inf:
-        lam, n, converged, est = maclaurin_lambda(
-            d, alpha, k * _RESCALE_TINY, delta * _RESCALE_THRESHOLD, tol, cap
-        )
-        return (lam * _RESCALE_THRESHOLD * _RESCALE_THRESHOLD, n, converged, est)
-    y = 0.25 * x**2
-    u = -(k * k)
-    s = u
-    au = s_abs = abs(u)
-    n = 1
-    while n < cap:
-        u *= -y * (d + 2.0 * n - alpha) / ((n + 1.0) * (n + 0.5 * d) * (d + 2.0 * n + 2.0 - alpha))
-        au = abs(u)
-        if au < tol * abs(s):
-            break
-        s += u
-        s_abs += au
-        n += 1
-    a_s = abs(s)
-    if not a_s > 0.0:
-        return (s, n, False, math.inf)
-    est = au / a_s + sys.float_info.epsilon * (math.sqrt(n) + 1.0) * s_abs / a_s
-    return (s, n, n < cap, est)
-
-
 @functools.lru_cache(maxsize=_TABLES_KEPT)
 def _ratio_table(d, alpha, q, size):
     """The term ratios of the series for (d, alpha), rows n = 1..size-1 of
@@ -344,10 +300,15 @@ def _ratio_table(d, alpha, q, size):
     return tuple(rows), tuple(logs)
 
 
-def _maclaurin_fixed_point(d, alpha, k, delta, tol, cap):
-    """The series of ``maclaurin_lambda`` as lambda = -k^2 F, F = sum t_n,
-    summed backwards by Horner's rule in integers at p fractional bits
-    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4;
+def maclaurin_lambda(d, alpha, k, delta, tol, cap):
+    """Small-k*delta eigenvalue series, prefactor included.
+
+    Returns (value, terms, converged, est_rel_err). The n = 1 term is
+    exactly -k**2, so lambda = -k^2 F, F = sum t_n, is built from term
+    ratios with no gamma evaluations. Its alternating terms peak near
+    e^(k*delta) times the sum, so F is summed backwards by Horner's rule in
+    integers at p fractional bits, which carry the bits the cancellation
+    takes (Brent and Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4;
     Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
     ch. 5).
 
@@ -358,32 +319,36 @@ def _maclaurin_fixed_point(d, alpha, k, delta, tol, cap):
 
         S <- one - ((S R_n >> q) y_num >> shift),   one = 2^p,
 
-    where y_num / 2^shift = 2y exactly (k and delta enter as the exact
-    ratios of their doubles). Each ratio rho_n 2y is below (x/2)^2 / n^2,
+    where y_num / 2^shift = 2y exactly: k and delta enter as the exact
+    ratios of their doubles, so neither k^2 nor a k*delta that underflows
+    as a double can spoil it. Each ratio rho_n 2y is below (x/2)^2 / n^2,
     x = k delta, so no intermediate exceeds I_0(x) <= e^x <= 2^e_bits, the
     terms sum to at most e^x in size, and p = e_bits + _FIXED_POINT_GUARD
-    + 4 bits per bit of x keeps the cancellation far from the result, which
-    is at least 4 / x^2 (below). q, the first multiple of 32 above
-    p + e_bits, makes the floor of R_n cost at most y units of 2^-p a step,
-    and the two shifts cost under 2y + 1; the error of step n reaches S
-    multiplied by |t_n|, so S is within (x^2 + 2) e^x units of 2^-p of the
-    sum of its N terms.
+    + 4 bits per bit of x keeps the cancellation far from the result. q,
+    the first multiple of 32 above p + e_bits, makes the floor of R_n cost
+    at most y units of 2^-p a step, and the two shifts cost under 2y + 1;
+    the error of step n reaches S multiplied by |t_n|, so S is within
+    (x^2 + 2) e^x units of 2^-p of the sum of its N terms.
 
     N is chosen before the pass. From n = x/2 on the terms fall in size, so
     the first omitted term bounds the rest; N is the first n >= x/2 with
     log2 |t_(N+1)| = L_(N+1) + N log2(2y) below tol |S| by
-    _STOP_MARGIN_BITS, taken against |S| >= _SUM_FLOOR / x^2. F x^2 is the
-    kernel's average of 1 - cos, 2 (d + 2) (1 + o(1)) at alpha = 0 and more
-    for alpha > 0; the smallest value measured over d 1..10, alpha in
-    [0, d+2) and x in [6, 2000] is 5.23 (d = 1, alpha = 0, x = 7.7). Once S
-    is known, the same test runs against |S| itself; should it fail, N
-    grows and the pass runs again. A tol from 1/2 up acts as 1/2: then
-    |S| < 2 |F|, which a double holds, however early the sum stops. The
-    ratio tables hold the rows the call reaches, 32 or a power of 2 above.
+    _STOP_MARGIN_BITS, taken against |S| >= _SUM_FLOOR / max(x^2, 5). F x^2
+    is the kernel's average of 1 - cos, 2 (d + 2) (1 + o(1)) at alpha = 0
+    and more for alpha > 0, and F tends to 1 as x -> 0. The smallest values
+    measured over d 1..10 and alpha in [0, d+2) are F = 0.818 on x in
+    (0, 2], F x^2 = 3.27 on [2, sqrt 5], 3.89 on [sqrt 5, 6] and 5.23 on
+    [6, 2000] (d = 1, alpha = 0, x = 7.7). Once S is known, the same test
+    runs against |S| itself; should it fail, as it can where the floor
+    exceeds F (x from about 2 to 6), N grows and the pass runs again. A tol
+    from 1/2 up acts as 1/2: then |S| < 2 |F|, which a double holds,
+    however early the sum stops. The ratio tables hold the rows the call
+    reaches, 32 or a power of 2 above.
 
     est_rel_err is the first omitted term plus the rounding bound, err, over
     |S| - err, plus 2 eps for forming F and -k (k F); it is inf where lambda
-    falls below the normal doubles.
+    falls below the normal doubles. A lambda beyond the double range comes
+    back as -inf.
     """
     x = k * delta
     kn, kq = float(k).as_integer_ratio()
@@ -396,11 +361,12 @@ def _maclaurin_fixed_point(d, alpha, k, delta, tol, cap):
     one = 1 << p
     # a multiple of 32, so that nearby k*delta share a table
     q = (p + e_bits) // 32 * 32 + 32
-    log_x = math.log2(x)
+    # where k*delta underflows to 0, every term past t_1 is below rounding
+    log_x = math.log2(x) if x > 0.0 else -math.inf
     log_2y = 2.0 * log_x - 1.0
     log_tol = min(math.log2(tol), -1.0) - _STOP_MARGIN_BITS
-    goal = log_tol + math.log2(_SUM_FLOOR) - 2.0 * log_x
-    n = min(math.ceil(0.5 * x), cap)
+    goal = log_tol + math.log2(_SUM_FLOOR) - max(2.0 * log_x, _LOG2_5)
+    n = min(max(math.ceil(0.5 * x), 1), cap)
     while True:
         # the first n with log2 |t_(n+1)| <= goal, from a table that has it
         size = _RATIO_ROWS_MIN

@@ -171,8 +171,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    table = lattice_spectrum(params, args.kmax, args.tol, jobs=jobs)
+    table = lattice_spectrum(params, args.kmax, args.tol, jobs=args.jobs)
     rows = [_eigen_row(params, m, math.sqrt(m), res) for m, res in table.entries.items()]
     _write_rows(args.out, EIGENROW_FIELDS, rows, args.format)
     return 0
@@ -245,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default: 1, evaluated in this process)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_spectrum)

@@ -11,16 +11,15 @@ eigenfunction; the eigenvalue lambda depends on the wavevector only through
   functions whose Lommel part is a divergent expansion resummed by
   Drummond's transformation, effective for large k*delta.
 
-The series is summed in doubles up to k*delta = 6 and in fixed-point
-integers beyond, which removes its cancellation: backwards, by Horner's
-rule over the exact term ratios of (d, alpha), floored to Q bits and kept
-in a table per (d, alpha), with the number of terms chosen before the pass
-from the logarithms of those ratios and checked after it against the sum.
-``lambda_hybrid`` switches to the asymptotic form at k*delta = 28, where
-that becomes the cheaper of the two; both are accurate to near machine
-precision there. Every
-eigenvalue evaluation is independent of all others, so lattice sweeps
-parallelize trivially.
+The series is summed in fixed-point integers, which removes its
+cancellation: backwards, by Horner's rule over the exact term ratios of
+(d, alpha), floored to Q bits and kept in a table per (d, alpha), with the
+number of terms chosen before the pass from the logarithms of those ratios
+and checked after it against the sum. ``lambda_hybrid`` switches to the
+asymptotic form at k*delta = 28, where that becomes the cheaper of the two;
+both are accurate to near machine precision there. Every eigenvalue
+evaluation is independent of all others, so lattice sweeps parallelize
+trivially.
 """
 
 from __future__ import annotations
@@ -149,12 +148,12 @@ def lambda_maclaurin(
     """Eigenvalue by the convergent series in (k*delta)^2.
 
     The term recurrence starts from the exact leading term -k^2; summation
-    stops when the next term drops below tol * |partial sum|. Up to
-    k*delta = 6 the terms are summed in doubles; beyond, where doubles would
-    lose about k*delta log2(e) bits to their cancellation, in fixed-point
-    integers. Beyond MACLAURIN_KDELTA_MAX, and where (k*delta)^2 leaves the
-    double range, NonConvergenceError is raised at once; where |lambda|
-    leaves it, ValueError.
+    stops when the next term drops below tol * |partial sum|. The terms are
+    summed in fixed-point integers, where doubles would lose about
+    k*delta log2(e) bits to their cancellation. Beyond MACLAURIN_KDELTA_MAX,
+    and where (k*delta)^2 leaves the double range, NonConvergenceError is
+    raised at once; where |lambda| exceeds it, ValueError. Where lambda
+    falls below the normal doubles (a tiny k), ``est_rel_err`` is inf.
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:

@@ -87,6 +87,14 @@ class TestEval:
         assert run("eval", "--d", "1", "--alpha", "2.9", "--delta", "1e10", "--k", "1e300") == 2
         assert "exceeds the double range" in capsys.readouterr().err
 
+    def test_tiny_k_exits_0(self, capsys):
+        # lambda = -1e-400 underflows to -0: the row says so with an
+        # infinite estimate rather than a non-convergence
+        assert run("eval", "--d", "3", "--alpha", "2", "--delta", "1", "--k", "1e-200") == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        assert fields[5] == "-0" and fields[6] == "maclaurin"
+        assert fields[7] == "1" and fields[8] == "inf"
+
     def test_nonconvergence_exits_3(self, monkeypatch, capsys):
         import nlspectra.cli as climod
 
@@ -425,6 +433,26 @@ def test_cli_import_loads_no_oracle_or_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == ""
+
+
+def test_spectrum_without_jobs_starts_no_pool(tmp_path):
+    # the default is one process: no worker pool is imported or started
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from nlspectra.cli import main\n"
+        "argv = ['spectrum', '--d', '2', '--alpha', '1', '--delta', '1', '--kmax', '2',\n"
+        "        '--out', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

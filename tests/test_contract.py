@@ -4,10 +4,14 @@ Every ``lambda_hybrid`` call at tol = 10 eps, 1e-12 and 1e-8 either
 returns a value within its ``est_rel_err`` of the mpmath series or raises
 ``ValueError`` or ``NonConvergenceError``. Cases are drawn with stdlib
 ``random`` from a fixed seed in strata of alpha (0, d, just below d + 2,
-tiny, uniform) and of k*delta (log-uniform in [0.01, 150], with extra draws
-around the change of summation at 6). Beyond k*delta = 200 the gamma-ratio
-part and the two Lommel factors of the asymptotic form are checked against
-their own oracles.
+tiny, uniform) and of k*delta (log-uniform in [0.01, 150], with a quarter
+of the draws in [5.9, 7]). Extra cases, from a generator of their own so
+that the draws above stay as they are, take k*delta uniform within 1 of
+``HYBRID_SWITCH``, where the route changes, and log-uniform in
+[1e-320, 1e-2], where lambda = -k^2 (1 - O((k*delta)^2)) may fall below the
+normal doubles. Beyond k*delta = 200 the gamma-ratio part and the two
+Lommel factors of the asymptotic form are checked against their own
+oracles.
 """
 
 import math
@@ -19,13 +23,14 @@ from mpmath import mp
 from nlspectra import KernelParams, NonConvergenceError, lambda_hybrid
 from nlspectra.drummond import DEFAULT_TOL, _lommel
 from nlspectra.oracle import oracle_asy_part_a, oracle_lambda_maclaurin, oracle_lommel
-from nlspectra.spectra import ASYMPTOTIC_TAIL_CUTOFF, _asy_gamma_part
+from nlspectra.spectra import ASYMPTOTIC_TAIL_CUTOFF, HYBRID_SWITCH, _asy_gamma_part
 
 EPS = sys.float_info.epsilon
 #: Smallest normal double.
 TINY = sys.float_info.min
 SEED = 20181
 CASES = 2000
+EXTRA_CASES = 400
 HUGE_CASES = 40
 ALPHA_STRATA = ("zero", "d", "below_d_plus_2", "tiny", "uniform")
 TOLS = (10 * EPS, 1e-12, 1e-8)
@@ -49,6 +54,20 @@ def _draw_kdelta(rng, i):
     return 10.0 ** rng.uniform(-2, math.log10(150.0))
 
 
+def _draw_extra_kdelta(rng, i):
+    if i % 2 == 0:
+        return rng.uniform(HYBRID_SWITCH - 1.0, HYBRID_SWITCH + 1.0)
+    return 10.0 ** rng.uniform(-320, -2)
+
+
+def _draw_case(rng, i, draw_kdelta):
+    d = rng.randint(1, 10)
+    alpha = _draw_alpha(rng, ALPHA_STRATA[i % len(ALPHA_STRATA)], d)
+    kd = draw_kdelta(rng, i)
+    delta = 10.0 ** rng.uniform(-2, 2)
+    return KernelParams(d, alpha, delta), kd / delta
+
+
 def _outcome(params, k, tol=DEFAULT_TOL):
     """The result of ``lambda_hybrid``, or None where it raised a typed
     error; any other exception propagates and fails the test."""
@@ -61,14 +80,11 @@ def _outcome(params, k, tol=DEFAULT_TOL):
 def test_hybrid_within_its_estimate_of_the_series_oracle():
     # each case at every tol in TOLS, against one oracle value
     rng = random.Random(SEED)
+    extra = random.Random(SEED + 2)
+    cases = [_draw_case(rng, i, _draw_kdelta) for i in range(CASES)]
+    cases += [_draw_case(extra, i, _draw_extra_kdelta) for i in range(EXTRA_CASES)]
     failures = []
-    for i in range(CASES):
-        d = rng.randint(1, 10)
-        alpha = _draw_alpha(rng, ALPHA_STRATA[i % len(ALPHA_STRATA)], d)
-        kd = _draw_kdelta(rng, i)
-        delta = 10.0 ** rng.uniform(-2, 2)
-        params = KernelParams(d, alpha, delta)
-        k = kd / delta
+    for params, k in cases:
         results = [(tol, _outcome(params, k, tol)) for tol in TOLS]
         if all(res is None for _, res in results):
             continue
@@ -79,7 +95,7 @@ def test_hybrid_within_its_estimate_of_the_series_oracle():
             with mp.workprec(256):
                 err = float(abs((res.lam - ref) / ref))
             if not err <= res.est_rel_err:
-                failures.append((d, alpha, delta, k, tol, res, err))
+                failures.append((params, k, tol, res, err))
     assert not failures, failures[:5]
 
 

@@ -215,9 +215,9 @@ class TestLambdaMaclaurin:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("kd", [6.0, HYBRID_SWITCH])
     def test_no_jump_where_the_summation_or_route_changes(self, d, kd):
-        # from the float sum to the fixed-point one at 6, and on to the
-        # asymptotic route at the switch: neighbouring doubles of k*delta
-        # agree to within their estimates and the slope of lambda
+        # at 6, inside the one fixed-point summation, and at the switch to
+        # the asymptotic route: neighbouring doubles of k*delta agree to
+        # within their estimates and the slope of lambda
         for alpha in [0.0, d - 0.5, float(d), d + 1.9]:
             params = KernelParams(d, alpha, 1.0)
             lo = lambda_hybrid(params, math.nextafter(kd, 0.0))
@@ -245,6 +245,28 @@ class TestLambdaMaclaurin:
         res = lambda_maclaurin(KernelParams(3, 2.0, 1e201), 10.0 / 1e201)
         assert abs(res.lam) < 2.2250738585072014e-308 and res.est_rel_err == math.inf
 
+    @pytest.mark.parametrize(
+        "delta,k", [(1.0, 1e-160), (1.0, 1e-200), (1.0, 5e-324), (1e-170, 1e-170)]
+    )
+    def test_tiny_k_is_unestimated_not_a_failure(self, delta, k):
+        # lambda = -k^2 falls below the normal doubles, at k*delta = 1e-160,
+        # 1e-200, 5e-324 and 0 (underflowed): one term, an infinite estimate,
+        # no run to the term cap
+        for fn in (lambda_maclaurin, lambda_hybrid):
+            res = fn(KernelParams(3, 2.0, delta), k)
+            assert res.method == "maclaurin" and res.terms == 1
+            assert res.lam == -(k * k) and res.est_rel_err == math.inf
+
+    @pytest.mark.parametrize("delta,k", [(1e-250, 1e-100), (1e-300, 1e-30)])
+    def test_underflowed_kdelta_is_minus_k_squared(self, delta, k):
+        # k*delta = 1e-350 and 1e-330 underflow to 0 as doubles, but lambda
+        # = -k^2 (1 - O((k*delta)^2)) is a normal double
+        params = KernelParams(3, 2.0, delta)
+        assert k * delta == 0.0
+        res = lambda_maclaurin(params, k)
+        assert res.lam == -(k * k) and res.terms == 1
+        assert rel(res.lam, oracle_lambda_maclaurin(params, k)) <= res.est_rel_err <= 4 * EPS
+
     def test_reach_of_the_series(self):
         # the last k*delta the guard lets through stays within the term cap
         params = KernelParams(3, 2.0, 1.0)
@@ -255,7 +277,7 @@ class TestLambdaMaclaurin:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_estimate_bounds_the_error(self, d):
-        # first omitted term plus the rounding of the alternating sum
+        # first omitted term plus the rounding bound of the fixed-point sum
         kds = [0.01 * 3000 ** (i / 12) for i in range(13)]
         for alpha in [0.0, d - 0.5, float(d), d + 1.9, d + 2 - 1e-9]:
             params = KernelParams(d, alpha, 1.0)
