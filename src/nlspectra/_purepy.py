@@ -41,9 +41,14 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 # N, D in the Drummond recurrence grow factorially; a common power-of-two
-# rescale leaves every approximant T = N/D bit-identical.
+# rescale leaves every approximant T = N/D bit-identical. The need for one
+# is checked once every few orders, as many as the growth bounds cached with
+# the coefficient table (``_growth_bounds``) fit into
+# _RESCALE_HEADROOM_BITS, so that between checks the largest |N| or |D|
+# stays within 2^-1012..2^1012 (see ``_drummond_recurrence``).
 _RESCALE_THRESHOLD = 2.0**512
 _RESCALE_TINY = 2.0**-512
+_RESCALE_HEADROOM_BITS = 500.0
 
 # The rounding error of T grows with the order, so the early-exit estimate
 # adds this much per order to the last approximant difference. On 300 calls
@@ -442,6 +447,48 @@ def _coefficient_table(alpha, beta, n, k_end):
     return tuple(_coefficient_rows(alpha, beta, n, k_end))
 
 
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
+def _growth_bounds(alpha, beta, n, k_end):
+    """(P, Q) over the rows of ``_coefficient_table`` such that at any z,
+    over one order, the largest |N| or |D| of the last three orders grows
+    and shrinks by at most a factor |z| P + Q. It bounds both of:
+
+    - forward growth, by g = |z| max |p| + max(|q| + |r| + |s|);
+    - backward shrinkage from order 2 on, where s != 0 and N^(k-2) is
+      (N^(k+1) - b N^(k) - r N^(k-1)) / s, by
+      h = |z| max(|p|/|s|) + max((1 + |q| + |r|)/|s|).
+
+    |c| is bounded above by |Re c| + |Im c| and below by max(|Re c|, |Im c|).
+    A NaN coefficient, which the max may pass over, makes N and D NaN from
+    its order on, whatever their scale. Cached next to the table, on the
+    same key."""
+    p_f = q_f = p_b = q_b = 0.0
+    for k, p, q, r, s in _coefficient_table(alpha, beta, n, k_end):
+        ap = abs(p.real) + abs(p.imag)
+        aq = abs(q.real) + abs(q.imag)
+        ar = abs(r.real) + abs(r.imag)
+        p_f = max(p_f, ap)
+        q_f = max(q_f, aq + ar + abs(s.real) + abs(s.imag))
+        if k >= 2:
+            s_low = max(abs(s.real), abs(s.imag))
+            if s_low == 0.0:  # lead overflowed: no backward bound
+                return (math.inf, math.inf)
+            p_b = max(p_b, ap / s_low)
+            q_b = max(q_b, (1.0 + aq + ar) / s_low)
+    return (max(p_f, p_b), max(q_f, q_b))
+
+
+def _check_interval(z, alpha, beta, n, k_end):
+    """Orders from one rescale check to the next at this z:
+    max(1, floor(_RESCALE_HEADROOM_BITS / log2 max(|z| P + Q, 2))) over the
+    ``_growth_bounds`` of the table, and 1 where the bound is not finite."""
+    p, q = _growth_bounds(alpha, beta, n, k_end)
+    growth = (abs(z.real) + abs(z.imag)) * p + q
+    if not growth < math.inf:  # NaN included
+        return 1
+    return int(_RESCALE_HEADROOM_BITS / math.log2(growth if growth > 2.0 else 2.0)) or 1
+
+
 def _stalled(t, order, diff, at):
     return (t, order, False, diff / at if at > 0.0 else math.inf)
 
@@ -459,6 +506,20 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     on a row of ``_coefficient_rows``, from the cached table of
     (alpha, beta, n, k_end), whole up to order k_end - 1 however early the
     call stops, or from the generator itself beyond _TABLE_ORDERS.
+
+    The rescale check runs at order 1 and then every ``every`` orders, a
+    single ``k == check_at`` comparison in between. It tests the whole
+    window of the last three orders of N and D, not only the newest pair,
+    and rescales the window by 2^-512 or 2^512 once its largest modulus W
+    leaves 2^-512..2^512; a check that rescales is followed by one at the
+    next order. Over one order W grows and shrinks by at most a factor
+    |z| P + Q (``_growth_bounds``), so with ``every`` =
+    max(1, floor(_RESCALE_HEADROOM_BITS / log2 max(|z| P + Q, 2))) a run
+    that starts from W within 2^-512..2^512 keeps it within 2^-1012..2^1012.
+    While nothing leaves the normal doubles a power-of-two rescale commutes
+    exactly with every operation of the recurrence, so each approximant has
+    the bits of a check at every order. A bound that is not finite, and a
+    call beyond _TABLE_ORDERS, check at every order.
     """
     early = tol is not None
     a = 1.0
@@ -489,23 +550,27 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
         order = 1
     if k_end <= _TABLE_ORDERS:
         rows = _coefficient_table(alpha, beta, n, k_end)
+        every = _check_interval(z, alpha, beta, n, k_end)
     else:
         rows = _coefficient_rows(alpha, beta, n, k_end)
+        every = 1
+    check_at = 1
     for k, p, q, r, s in rows:
         b = z * p + q
         n_new = b * n_cur + r * n_prev + s * n_prev2
         d_new = b * d_cur + r * d_prev + s * d_prev2
-        an = abs(n_new)
-        ad = abs(d_new)
-        m = ad if ad > an else an  # max(an, ad), NaN included
-        if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
-            scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
-            n_new *= scale
-            n_cur *= scale
-            n_prev *= scale
-            d_new *= scale
-            d_cur *= scale
-            d_prev *= scale
+        if k == check_at:
+            m = max(abs(n_new), abs(n_cur), abs(n_prev), abs(d_new), abs(d_cur), abs(d_prev))
+            check_at = k + every
+            if m > _RESCALE_THRESHOLD or 0.0 < m < _RESCALE_TINY:
+                check_at = k + 1
+                scale = _RESCALE_TINY if m > _RESCALE_THRESHOLD else _RESCALE_THRESHOLD
+                n_new *= scale
+                n_cur *= scale
+                n_prev *= scale
+                d_new *= scale
+                d_cur *= scale
+                d_prev *= scale
         if early:
             t_new = n_new / d_new if d_new != 0 else _nan_like(d_new)
             order = k + 1

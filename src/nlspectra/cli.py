@@ -20,6 +20,7 @@ import sys
 from .drummond import HypTerm2F0, _check_tol, drummond_2f0_at_order
 from .errors import NonConvergenceError
 from .spectra import (
+    ASYMPTOTIC_KDELTA_MIN,
     DEFAULT_TOL,
     HYBRID_SWITCH,
     MACLAURIN_KDELTA_MAX,
@@ -228,7 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kdelta-steps", type=int, required=True)
     p.add_argument("--method", choices=("mac", "asy", "hybrid", "both"), default="both",
                    help=f"mac: the series, up to k*delta = {MACLAURIN_KDELTA_MAX:g}; "
-                        "asy: the asymptotic form; hybrid: the series below "
+                        "asy: the asymptotic form, whose error estimate is inf below "
+                        f"k*delta = {ASYMPTOTIC_KDELTA_MIN:g}, beyond its reach; "
+                        "hybrid: the series below "
                         f"k*delta = {HYBRID_SWITCH:g}, the asymptotic form from it on; "
                         "both: mac and asy columns")
     p.add_argument("--out", required=True)

@@ -387,6 +387,71 @@ class TestCoefficientTables:
         assert cold_tables(1.0 + 1 / 7, 0.5, 0, 500) is not second
 
 
+class TestRescaleSchedule:
+    """The rescale check runs once every few orders, as many as the growth
+    bounds cached with the table allow; with no headroom it runs at every
+    order. A power-of-two rescale commutes with the recurrence while
+    nothing leaves the normal doubles, so no schedule may change a bit."""
+
+    # (alpha, beta, n, z, order): N and D pass 2^512 and are rescaled down
+    # 3 and 7 times
+    RESCALING = [(1.0, 1.0, 0, 1e5, 1000), (2.5, 0.5, 0, 1e8, 300)]
+
+    @staticmethod
+    def outcomes(cases):
+        return [
+            repr((_fixed(case, case[3], case[4]), _early(case, case[3], case[4], 1e-14)))
+            for case in cases
+        ]
+
+    @staticmethod
+    def interval(case):
+        alpha, beta, n, z, order = case
+        return _purepy._check_interval(z, alpha, beta, n, order)
+
+    def assert_same_bits_as_every_order(self, cases, monkeypatch):
+        scheduled = self.outcomes(cases)
+        monkeypatch.setattr(_purepy, "_RESCALE_HEADROOM_BITS", 0.0)
+        assert all(self.interval(case) == 1 for case in cases)
+        assert self.outcomes(cases) == scheduled
+
+    def test_rescaling_calls_keep_their_bits(self, monkeypatch):
+        assert all(1 < self.interval(case) < 100 for case in self.RESCALING)
+        self.assert_same_bits_as_every_order(self.RESCALING, monkeypatch)
+        monkeypatch.setattr(_purepy, "_RESCALE_THRESHOLD", math.inf)
+        monkeypatch.setattr(_purepy, "_RESCALE_TINY", 0.0)
+        for case in self.RESCALING:
+            assert math.isnan(_fixed(case, case[3], case[4])), case
+
+    def test_table_cases_keep_their_bits(self, monkeypatch):
+        # the fixed order 1000 at complex z is the phase command's call: a
+        # check every 90 orders or so, not every order
+        assert self.interval(TestCoefficientTables.CASES[4]) > 50
+        self.assert_same_bits_as_every_order(TestCoefficientTables.CASES, monkeypatch)
+
+    def test_random_calls_keep_their_bits(self, monkeypatch):
+        rng = random.Random(20261018)
+        cases = []
+        for i in range(600):
+            if i % 2:
+                alpha = complex(rng.uniform(0.05, 6.0), rng.uniform(-3.0, 3.0))
+                beta = complex(rng.uniform(-3.0, 6.0), rng.uniform(-3.0, 3.0))
+                z = cmath.rect(10.0 ** rng.uniform(-8, 12), rng.uniform(-3.1, 3.1))
+            else:
+                alpha = rng.uniform(0.05, 6.0)
+                beta = rng.uniform(0.05, 6.0)
+                z = 10.0 ** rng.uniform(-8, 12)
+            cases.append((alpha, beta, i % 4, z, rng.choice([5, 40, 300, 1000])))
+        self.assert_same_bits_as_every_order(cases, monkeypatch)
+
+    def test_near_pole_checks_every_order(self, monkeypatch):
+        # lead = (alpha+2)(beta+2) ~ 1e-100 at order 1: p = -1/lead bounds
+        # the growth by ~2^330 an order, so there is no headroom to skip
+        case = (complex(-2.0, 1e-100), complex(1.0), 0, complex(3.0), 500)
+        assert self.interval(case) == 1
+        self.assert_same_bits_as_every_order([case], monkeypatch)
+
+
 class TestDrummond2F0AtOrder:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("beta", [1.0, 2.5])

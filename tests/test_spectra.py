@@ -325,6 +325,35 @@ class TestLambdaAsymptotic:
                     err = abs((res.lam - ref) / ref)
                 assert err <= res.est_rel_err, (alpha, kd)
 
+    def test_estimate_is_inf_below_the_floor_and_holds_above_it(self):
+        # direct calls at 10 eps: from k*delta = 1 to the floor the Lommel
+        # factors err above their estimates (up to 9.5x in [1, 3)), so no
+        # estimate is given; from the floor to 8 it bounds the error
+        rng = random.Random(5)
+        assert spectra.ASYMPTOTIC_KDELTA_MIN == 5.0
+        failures = []
+        for i in range(400):
+            d = rng.randint(1, 10)
+            alpha = (0.0, float(d), rng.uniform(0.0, d + 2.0))[i % 3]
+            params = KernelParams(d, alpha, 1.0)
+            if i % 2:
+                kd = rng.uniform(1.0, 5.0)
+                try:
+                    res = lambda_asymptotic(params, kd, 10 * EPS)
+                except NonConvergenceError as exc:
+                    res = exc.result
+                if res.est_rel_err != math.inf:
+                    failures.append((d, alpha, kd, res))
+                continue
+            kd = rng.uniform(5.0, 8.0)
+            res = lambda_asymptotic(params, kd, 10 * EPS)
+            ref = oracle_lambda_maclaurin(params, kd)
+            with mp.workprec(256):
+                err = abs((res.lam - ref) / ref)
+            if not err <= res.est_rel_err:
+                failures.append((d, alpha, kd, res, float(err)))
+        assert not failures, failures[:5]
+
     @pytest.mark.parametrize(
         "d,alpha", [(4, 0.0), (6, 0.0), (6, 2.0), (8, 2.0), (10, 0.0), (10, 4.0), (5, 1.0)]
     )
