@@ -39,6 +39,8 @@ EULER_GAMMA = 0.5772156649015328606
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
+# Integer-order J comes from the large-argument expansion from this x on.
+_HANKEL_X_MIN = 28.0
 
 # N, D in the Drummond recurrence grow factorially; a common power-of-two
 # rescale leaves every approximant T = N/D bit-identical. The need for one
@@ -67,8 +69,9 @@ _LOG2_5 = math.log2(5.0)
 # The fixed-point sum stops once the first omitted term is below tol |S| by
 # this many bits.
 _STOP_MARGIN_BITS = 1.0
-# Rows of the smallest ratio table; larger ones double it.
-_RATIO_ROWS_MIN = 32
+# Rows of the smallest series table; larger ones double it. At most 32 tables
+# are kept; a lattice spectrum uses about 20, one per (p, g) it reaches.
+_SERIES_ROWS_MIN = 32
 
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
 # on z, so each call of orders 1..k_end-1 reads them from one immutable table
@@ -178,44 +181,42 @@ def _bessel_backward(two_nu, x):
     return ra * scale, rb * scale
 
 
-def _hankel_sum(nu, x, cx, sx):
-    # Large-argument expansion of J_nu(x) / sqrt(2/(pi x)). The phase
-    # x - (2nu+1)pi/4 is expanded with exact multiples of pi/4 so no
-    # accuracy is lost subtracting from large x; cx, sx are cos x, sin x.
+@functools.lru_cache(maxsize=32)
+def _hankel_table(nu):
+    """The large-argument expansion of J_nu(x) / sqrt(2/(pi x)) at integer
+    nu, cos w P - sin w Q with w = x - (2nu+1)pi/4: the coefficients of P
+    and of x Q as polynomials in 1/x^2, signs folded in, highest power first,
+
+        P = sum_j (-1)^j a_2j x^-2j,   Q = sum_j (-1)^j a_(2j+1) x^-(2j+1),
+
+    a_k = prod_(i<=k) (4nu^2 - (2i-1)^2) / (8i), through the first k with
+    |a_k| 28^-k < 1e-17 (at most 39). The terms fall with x, so that count
+    serves every x >= _HANKEL_X_MIN = 28. Also cos and sin of the phase
+    (2nu+1)pi/4: no accuracy is lost subtracting it from a large x."""
     mu = 4.0 * nu * nu
-    inv_x = 1.0 / x
-    p = 1.0
-    q = 0.0
-    tk = 1.0
-    prev = math.inf
+    a = 1.0
+    signed = [1.0]
     for k in range(1, 40):
-        tk *= (mu - (2 * k - 1) ** 2) / (8.0 * k) * inv_x
-        if abs(tk) >= prev:
+        a *= (mu - (2 * k - 1) ** 2) / (8.0 * k)
+        signed.append(a if k % 4 < 2 else -a)
+        if abs(a) * _HANKEL_X_MIN**-k < 1e-17:
             break
-        r = k % 4
-        if r == 0:
-            p += tk
-        elif r == 1:
-            q += tk
-        elif r == 2:
-            p -= tk
-        else:
-            q -= tk
-        if abs(tk) < 1e-17:
-            break
-        prev = abs(tk)
     r = (2 * nu + 1) % 8
-    if r == 1:
-        cph, sph = _SQRT_HALF, _SQRT_HALF
-    elif r == 3:
-        cph, sph = -_SQRT_HALF, _SQRT_HALF
-    elif r == 5:
-        cph, sph = -_SQRT_HALF, -_SQRT_HALF
-    else:
-        cph, sph = _SQRT_HALF, -_SQRT_HALF
-    cosw = cx * cph + sx * sph
-    sinw = sx * cph - cx * sph
-    return cosw * p - sinw * q
+    cph = _SQRT_HALF if r in (1, 7) else -_SQRT_HALF
+    sph = _SQRT_HALF if r in (1, 3) else -_SQRT_HALF
+    return tuple(reversed(signed[0::2])), tuple(reversed(signed[1::2])), cph, sph
+
+
+def _hankel_sum(nu, x, cx, sx):
+    # J_nu(x) / sqrt(2/(pi x)) from the table of nu; cx, sx are cos x, sin x
+    p_co, q_co, cph, sph = _hankel_table(nu)
+    w = 1.0 / (x * x)
+    p = q = 0.0
+    for c in p_co:
+        p = p * w + c
+    for c in q_co:
+        q = q * w + c
+    return (cx * cph + sx * sph) * p - (sx * cph - cx * sph) * q / x
 
 
 def bessel_j(two_nu, x):
@@ -224,8 +225,9 @@ def bessel_j(two_nu, x):
     evaluation. Half-integer orders come from sqrt(2/(pi x)), cos x, sin x
     and the upward recurrence, except where that cancels (2*nu >= 3 and
     x < max(1, nu)); integer orders from x = 28 come from the large-argument
-    expansion; every other case from one backward recurrence. The
-    large-argument regime ignores terms that matter from nu = 11 on; the
+    expansion, by Horner's rule over the table of ``_hankel_table``; every
+    other case from one backward recurrence. The large-argument regime
+    ignores terms that matter from nu = 11 on; the
     tests verify 2*nu = -1..21, and the d <= 10 of ``KernelParams`` keeps
     the eigenvalue routes at 2*nu = -1..8."""
     if two_nu & 1:
@@ -244,7 +246,7 @@ def bessel_j(two_nu, x):
             order += 1.0
         return jc, jm
     nu = two_nu >> 1
-    if x >= 28.0:
+    if x >= _HANKEL_X_MIN:
         # J_{-n} = (-1)^n J_n holds term by term in the expansion
         amp = math.sqrt(2.0 / (math.pi * x))
         cx = math.cos(x)
@@ -281,27 +283,32 @@ def stable_prefactor(x, log_y, z):
     return math.expm1(t) / x, t
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT)
-def _ratio_table(d, alpha, q, size):
-    """The term ratios of the series for (d, alpha), rows n = 1..size-1 of
-    two tuples (row 0 unused): R_n = floor(rho_n 2^q), the exact ratio
+@functools.lru_cache(maxsize=32)
+def _series_table(d, alpha, p, g, size):
+    """The coefficients of the series for (d, alpha), scaled for a Horner
+    pass in 2y < 2^g at p fractional bits: rows n = 1..size (row 0 unused)
+    of A_n = floor(a_n 2^(p + (n-1) g)) and L_n = log2 a_n, with
 
-        rho_n = c_n / ((n+1)(2n+d) c_(n+1)),   c_n = d + 2n - alpha,
+        a_n = rho_1 ... rho_(n-1) = c_1 / (c_n prod_(j<n) (j+1)(2j+d)),
 
-    floored from integers, and L_n = log2(rho_1 ... rho_(n-1)), through
-    n = size, so that log2 |t_n| = L_n + (n-1) log2(2y). Built whole and
-    never changed."""
+    c_n = d + 2n - alpha, so that log2 |t_n| = L_n + (n-1) log2(2y). A_n is
+    exact: c_1 2^(p + (n-1) g) = q den + r, den the product and
+    0 <= r < den, is carried from row to row and A_n = floor(q / c_n), so
+    no row divides by den. The rows the call reaches, 32 or a power of 2
+    above; built whole and never changed."""
     an, aq = float(alpha).as_integer_ratio()
-    step = 2 * aq
-    c = (d + 2) * aq - an  # c_1 aq
-    rows = [0]
-    logs = [0.0, 0.0]
-    for n in range(1, size):
-        c_next = c + step
-        r = (c << q) // ((n + 1) * (2 * n + d) * c_next)
-        rows.append(r)
-        logs.append(logs[-1] + math.log2(r) - q)
-        c = c_next
+    c_1 = (d + 2) * aq - an  # c_1 aq
+    c, den, q, r = c_1, 1, c_1 << p, 0
+    rows, logs = [0], [0.0]
+    for n in range(1, size + 1):
+        rows.append(q // c)
+        logs.append(math.log2(c_1) - math.log2(c) - math.log2(den))
+        step = (n + 1) * (2 * n + d)
+        u, v = divmod(r << g, den)
+        q, z = divmod((q << g) + u, step)
+        r = z * den + v
+        den *= step
+        c += 2 * aq
     return tuple(rows), tuple(logs)
 
 
@@ -312,28 +319,26 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     exactly -k**2, so lambda = -k^2 F, F = sum t_n, is built from term
     ratios with no gamma evaluations. Its alternating terms peak near
     e^(k*delta) times the sum, so F is summed backwards by Horner's rule in
-    integers at p fractional bits, which carry the bits the cancellation
-    takes (Brent and Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-    ch. 5).
+    integers at p fractional bits, exact but for two floors a step (Brent and
+    Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 5).
 
-    t_1 = 1 and t_(n+1) = -t_n 2y rho_n, with y = (k delta)^2 / 4 and the
-    ratios rho_n of ``_ratio_table``, so the sum of N terms is
-    S_N = 1 - 2y rho_1 (1 - 2y rho_2 (... (1 - 2y rho_(N-1)))). From S = 1
-    the pass runs n = N-1..1:
+    t_n = (-2y)^(n-1) a_n, with y = (k delta)^2 / 4 and the coefficients a_n
+    of ``_series_table``, so the sum of N terms is
+    S_N = a_1 - 2y (a_2 - 2y (... (a_(N-1) - 2y a_N))). With g the least
+    g >= 0 with 2y < 2^g and A_n the table's a_n 2^(p + (n-1) g), the pass
+    runs from s = 0 over n = N..1:
 
-        S <- one - ((S R_n >> q) y_num >> shift),   one = 2^p,
+        s <- A_n - (s y_num >> (shift + g)),
 
     where y_num / 2^shift = 2y exactly: k and delta enter as the exact
     ratios of their doubles, so neither k^2 nor a k*delta that underflows
-    as a double can spoil it. Each ratio rho_n 2y is below (x/2)^2 / n^2,
-    x = k delta, so no intermediate exceeds I_0(x) <= e^x <= 2^e_bits, the
-    terms sum to at most e^x in size, and p = e_bits + _FIXED_POINT_GUARD
-    + 4 bits per bit of x keeps the cancellation far from the result. q,
-    the first multiple of 32 above p + e_bits, makes the floor of R_n cost
-    at most y units of 2^-p a step, and the two shifts cost under 2y + 1;
-    the error of step n reaches S multiplied by |t_n|, so S is within
-    (x^2 + 2) e^x units of 2^-p of the sum of its N terms.
+    as a double can spoil it. The floors of A_n and of the shift each cost
+    less than 1 unit of step n, which (2y / 2^g)^(n-1) <= 1 carries to s at
+    most undiminished, so S = s / 2^p is within 2N units of 2^-p of the sum
+    of its N terms. p = e_bits + _FIXED_POINT_GUARD + 4 bits per bit of
+    x = k delta, e^x <= 2^e_bits, rounded up to a multiple of 32 so that
+    nearby k*delta share a table.
 
     N is chosen before the pass. From n = x/2 on the terms fall in size, so
     the first omitted term bounds the rest; N is the first n >= x/2 with
@@ -347,8 +352,7 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     runs against |S| itself; should it fail, as it can where the floor
     exceeds F (x from about 2 to 6), N grows and the pass runs again. A tol
     from 1/2 up acts as 1/2: then |S| < 2 |F|, which a double holds,
-    however early the sum stops. The ratio tables hold the rows the call
-    reaches, 32 or a power of 2 above.
+    however early the sum stops.
 
     est_rel_err is the first omitted term plus the rounding bound, err, over
     |S| - err, plus 2 eps for forming F and -k (k F); it is inf where lambda
@@ -361,22 +365,23 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     # the denominators are powers of 2, so 2y = y_num / 2^shift
     y_num = (kn * dn) ** 2
     shift = 2 * (kq * dq).bit_length() - 1
+    g = max(y_num.bit_length() - shift, 0)  # the least g >= 0 with 2y < 2^g
+    shift += g
     e_bits = int(x * _LOG2E) + 1  # e^x <= 2^e_bits
-    p = e_bits + _FIXED_POINT_GUARD + 4 * int(x).bit_length()
-    one = 1 << p
-    # a multiple of 32, so that nearby k*delta share a table
-    q = (p + e_bits) // 32 * 32 + 32
+    p = (e_bits + _FIXED_POINT_GUARD + 31 + 4 * int(x).bit_length()) & -32
     # where k*delta underflows to 0, every term past t_1 is below rounding
     log_x = math.log2(x) if x > 0.0 else -math.inf
     log_2y = 2.0 * log_x - 1.0
-    log_tol = min(math.log2(tol), -1.0) - _STOP_MARGIN_BITS
-    goal = log_tol + math.log2(_SUM_FLOOR) - max(2.0 * log_x, _LOG2_5)
-    n = min(max(math.ceil(0.5 * x), 1), cap)
+    log_tol = (math.log2(tol) if tol < 0.5 else -1.0) - _STOP_MARGIN_BITS
+    goal = log_tol + math.log2(_SUM_FLOOR) - (log_2y + 1.0 if x * x > 5.0 else _LOG2_5)
+    n = math.ceil(0.5 * x) or 1
+    if n > cap:
+        n = cap
     while True:
         # the first n with log2 |t_(n+1)| <= goal, from a table that has it
-        size = _RATIO_ROWS_MIN
+        size = _SERIES_ROWS_MIN
         while True:
-            ratios, logs = _ratio_table(d, alpha, q, size)
+            coeffs, logs = _series_table(d, alpha, p, g, size)
             hi = min(size - 1, cap)
             if hi == cap or (hi >= n and logs[hi + 1] + hi * log_2y <= goal):
                 break
@@ -387,10 +392,10 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
                 n = mid + 1
             else:
                 hi = mid
-        s = one
-        for r in ratios[n - 1:0:-1]:
-            s = one - ((s * r >> q) * y_num >> shift)
-        f = s / one
+        s = 0
+        for a in coeffs[n:0:-1]:
+            s = a - (s * y_num >> shift)
+        f = s / (1 << p)
         log_f = math.log2(f) if f > 0.0 else -math.inf
         log_t = logs[n + 1] + n * log_2y  # log2 |t_(n+1)|
         converged = log_t <= log_tol + log_f
@@ -403,7 +408,7 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     rel_t = log_t - log_f  # log2 of |t_(n+1)| / |S|
     if rel_t < 0.0 and abs(lam) >= sys.float_info.min:
         # err is relative to |S|, and |F| >= |S| (1 - err)
-        err = 2.0**rel_t + math.ldexp(x * x + 2.0, e_bits - p) / f
+        err = 2.0**rel_t + math.ldexp(2 * n, -p) / f
         est = err / (1.0 - err) + 2.0 * sys.float_info.epsilon if err < 1.0 else math.inf
     else:
         est = math.inf

@@ -46,23 +46,26 @@ def _line_format(row) -> str:
     return ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
 
 
-def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str) -> None:
+def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str, lead: tuple = ()) -> None:
     """Write atomically: a partial file never replaces the target.
 
     ``rows`` is a list of tuples that all have the column types of the
-    first; each CSV line is one format operation.
+    first, each after the ``lead`` values every row shares; each CSV line is
+    one format operation, with ``lead`` formatted once as text.
     """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
             if fmt == "json":
-                records = [dict(zip(header, row)) for row in rows]
+                records = [dict(zip(header, lead + row)) for row in rows]
                 json.dump(records, fh, indent=1)
                 fh.write("\n")
             else:
                 fh.write(",".join(header) + "\n")
                 if rows:
                     line = _line_format(rows[0])
+                    if lead:
+                        line = (_line_format(lead) % lead).replace("%", "%%")[:-1] + "," + line
                     fh.writelines(line % row for row in rows)
         os.replace(tmp, path)
     except BaseException:
@@ -71,28 +74,26 @@ def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str) -> None:
         raise
 
 
-def _eigen_row(params: KernelParams, m, k_mod: float, res: EvalResult) -> tuple:
-    return (
-        params.d,
-        params.alpha,
-        params.delta,
-        m,
-        k_mod,
-        res.lam,
-        res.method,
-        res.terms,
-        res.est_rel_err,
-    )
+def _squared_norm(k: float):
+    """m = k^2 for ``eval``: where k*k falls below the normal doubles, the
+    exact square as text of 17 significant digits, never the constant mode's
+    0; an int where integral below 2^53 (above it, int() prints false
+    digits); else the double k*k."""
+    m = k * k
+    if k and m < sys.float_info.min:
+        from decimal import Context, Decimal
+
+        return format(Context(prec=17).multiply(Decimal(k), Decimal(k)), ".17g")
+    if m < 2.0**53 and m == int(m):
+        return int(m)
+    return m
 
 
 def _cmd_eval(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
     res = lambda_hybrid(params, args.k, args.tol)
-    m = args.k * args.k
-    if m < 2.0**53 and m == int(m):
-        # above 2^53 every float is integral, and int() would print false digits
-        m = int(m)
-    row = _eigen_row(params, m, args.k, res)
+    row = (params.d, params.alpha, params.delta, _squared_norm(args.k), args.k,
+           res.lam, res.method, res.terms, res.est_rel_err)
     if args.format == "json":
         print(json.dumps(dict(zip(EIGENROW_FIELDS, row))))
     else:
@@ -146,9 +147,9 @@ def _cmd_table(args) -> int:
     header: tuple[str, ...] = ("d", "alpha", "kdelta")
     for route in routes:
         if route == "hybrid":
-            header += ("lambda", "method", "terms", "err")
+            header += ("lambda", "method", "terms", "est_rel_err", "err")
         else:
-            header += (f"lambda_{route}", f"terms_{route}", f"err_{route}")
+            header += (f"lambda_{route}", f"terms_{route}", f"est_{route}", f"err_{route}")
 
     rows = []
     for alpha in alphas:
@@ -162,9 +163,9 @@ def _cmd_table(args) -> int:
                 res = _best_effort(route_fns[route], params, kd, args.tol)
                 err = "" if ref is None else abs(res.lam - ref) / abs(ref)
                 if route == "hybrid":
-                    row += (res.lam, res.method, res.terms, err)
+                    row += (res.lam, res.method, res.terms, res.est_rel_err, err)
                 else:
-                    row += (res.lam, res.terms, err)
+                    row += (res.lam, res.terms, res.est_rel_err, err)
             rows.append(row)
     _write_rows(args.out, header, rows, args.format)
     return 0
@@ -173,8 +174,12 @@ def _cmd_table(args) -> int:
 def _cmd_spectrum(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
     table = lattice_spectrum(params, args.kmax, args.tol, jobs=args.jobs)
-    rows = [_eigen_row(params, m, math.sqrt(m), res) for m, res in table.entries.items()]
-    _write_rows(args.out, EIGENROW_FIELDS, rows, args.format)
+    rows = [
+        (m, math.sqrt(m), res.lam, res.method, res.terms, res.est_rel_err)
+        for m, res in table.entries.items()
+    ]
+    _write_rows(args.out, EIGENROW_FIELDS, rows, args.format,
+                lead=(params.d, params.alpha, params.delta))
     return 0
 
 

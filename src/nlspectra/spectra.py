@@ -12,10 +12,11 @@ eigenfunction; the eigenvalue lambda depends on the wavevector only through
   Drummond's transformation, effective for large k*delta.
 
 The series is summed in fixed-point integers, which removes its
-cancellation: backwards, by Horner's rule over the exact term ratios of
-(d, alpha), floored to Q bits and kept in a table per (d, alpha), with the
-number of terms chosen before the pass from the logarithms of those ratios
-and checked after it against the sum. ``lambda_hybrid`` switches to the
+cancellation: backwards, by Horner's rule in (k*delta)^2 / 2 over its
+coefficients, exact products of the term ratios of (d, alpha), scaled to
+integers and kept in a table per (d, alpha) and working precision, with the
+number of terms chosen before the pass from the logarithms of those
+coefficients and checked after it against the sum. ``lambda_hybrid`` switches to the
 asymptotic form at k*delta = 28, where that becomes the cheaper of the two;
 both are accurate to near machine precision there. Every eigenvalue
 evaluation is independent of all others, so lattice sweeps parallelize

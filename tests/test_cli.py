@@ -6,12 +6,21 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 from nlspectra import NonConvergenceError, cli
 from nlspectra.cli import _build_parser, _write_rows, main
 from nlspectra.oracle import oracle_closed_form_d1_a0, oracle_drummond_bigfloat
+from nlspectra.spectra import (
+    ASYMPTOTIC_KDELTA_MIN,
+    KernelParams,
+    lambda_asymptotic,
+    lambda_hybrid,
+    lambda_maclaurin,
+    lattice_spectrum,
+)
 from nlspectra import HypTerm2F0
 
 
@@ -95,6 +104,19 @@ class TestEval:
         assert fields[5] == "-0" and fields[6] == "maclaurin"
         assert fields[7] == "1" and fields[8] == "inf"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tiny_k_prints_a_nonzero_m(self, capsys, fmt):
+        # k*k underflows: m is the exact square at 17 digits, not the
+        # constant mode's 0; an integral k^2 stays an int
+        for k, m in (("1e-200", "9.9999999999999996e-401"),
+                     ("1e-160", "9.9999999999999998e-321"), ("3", 9)):
+            argv = ["eval", "--d", "3", "--alpha", "2", "--delta", "1", "--k", k]
+            assert run(*argv, "--format", fmt) == 0
+            out = capsys.readouterr().out
+            got = json.loads(out)["m"] if fmt == "json" else out.split(",")[3]
+            assert got == (m if fmt == "json" else str(m))
+            assert Decimal(got) > 0
+
     def test_nonconvergence_exits_3(self, monkeypatch, capsys):
         import nlspectra.cli as climod
 
@@ -164,10 +186,11 @@ class TestTable:
         )
 
     @pytest.mark.parametrize("method,columns", [
-        ("mac", ["lambda_mac", "terms_mac", "err_mac"]),
-        ("asy", ["lambda_asy", "terms_asy", "err_asy"]),
-        ("both", ["lambda_mac", "terms_mac", "err_mac", "lambda_asy", "terms_asy", "err_asy"]),
-        ("hybrid", ["lambda", "method", "terms", "err"]),
+        ("mac", ["lambda_mac", "terms_mac", "est_mac", "err_mac"]),
+        ("asy", ["lambda_asy", "terms_asy", "est_asy", "err_asy"]),
+        ("both", ["lambda_mac", "terms_mac", "est_mac", "err_mac",
+                  "lambda_asy", "terms_asy", "est_asy", "err_asy"]),
+        ("hybrid", ["lambda", "method", "terms", "est_rel_err", "err"]),
     ])
     def test_columns_per_method(self, tmp_path, method, columns):
         out = tmp_path / "t.csv"
@@ -182,6 +205,27 @@ class TestTable:
         if method == "hybrid":
             assert [row["method"] for row in rows] == ["maclaurin", "asymptotic"]
 
+    @pytest.mark.parametrize("method", ["both", "hybrid"])
+    def test_estimate_columns_are_the_routes_estimates(self, tmp_path, method):
+        # below the asymptotic floor (k*delta = 2) its estimate is inf
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "3", "--alpha-min", "0.5", "--alpha-max", "2",
+                "--alpha-steps", "2", "--kdelta-min", "2", "--kdelta-max", "40",
+                "--kdelta-steps", "3", "--method", method, "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            params = KernelParams(3, float(row["alpha"]), 1.0)
+            kd = float(row["kdelta"])
+            if method == "hybrid":
+                assert float(row["est_rel_err"]) == lambda_hybrid(params, kd).est_rel_err
+                continue
+            assert float(row["est_mac"]) == lambda_maclaurin(params, kd).est_rel_err
+            assert float(row["est_asy"]) == lambda_asymptotic(params, kd).est_rel_err
+            assert (row["est_asy"] == "inf") == (kd < ASYMPTOTIC_KDELTA_MIN)
+
     def test_maclaurin_overflow_cell(self, tmp_path):
         # (k*delta)^2 overflows: a best-effort NaN cell, not a traceback
         out = tmp_path / "t.csv"
@@ -191,7 +235,7 @@ class TestTable:
                 "--kdelta-steps", "1", "--method", "mac", "--out", str(out)) == 0
         )
         _, rows = read_csv(out)
-        assert rows[0]["lambda_mac"] == "nan"
+        assert rows[0]["lambda_mac"] == "nan" and rows[0]["est_mac"] == "inf"
 
     @pytest.mark.parametrize("with_oracle", [False, True])
     def test_tiny_kdelta_asymptotic_cell_is_nan(self, tmp_path, with_oracle):
@@ -206,6 +250,7 @@ class TestTable:
         assert len(rows) == 3
         assert all(math.isfinite(float(row["lambda_mac"])) for row in rows)
         assert rows[0]["lambda_asy"] == "nan" and rows[0]["terms_asy"] == "0"
+        assert rows[0]["est_asy"] == "inf"
         assert all(math.isfinite(float(row["lambda_asy"])) for row in rows[1:])
         assert rows[0]["err_asy"] == ("nan" if with_oracle else "")
 
@@ -277,6 +322,30 @@ class TestSpectrum:
         assert run(*common, "--out", str(a), "--jobs", "1") == 0
         assert run(*common, "--out", str(b), "--jobs", "4") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d,alpha,delta,kmax", [(3, 2.0137, 0.1, 8), (2, 3.9123, 0.25, 40)])
+    def test_rows_are_the_nine_fields_of_the_table(self, tmp_path, fmt, d, alpha, delta, kmax):
+        # d, alpha and delta are formatted once per file; every line still
+        # reads as the nine fields of its entry at 17 significant digits
+        out = tmp_path / "s.out"
+        argv = ["spectrum", "--d", str(d), "--alpha", repr(alpha), "--delta", repr(delta),
+                "--kmax", str(kmax), "--out", str(out), "--format", fmt]
+        assert run(*argv) == 0
+        params = KernelParams(d, alpha, delta)
+        rows = [
+            (d, alpha, delta, m, math.sqrt(m), r.lam, r.method, r.terms, r.est_rel_err)
+            for m, r in lattice_spectrum(params, kmax).entries.items()
+        ]
+        assert {r[6] for r in rows} >= {"zero", "maclaurin"}
+        if fmt == "json":
+            records = [dict(zip(cli.EIGENROW_FIELDS, row)) for row in rows]
+            assert out.read_text() == json.dumps(records, indent=1) + "\n"
+            return
+        lines = [",".join(cli.EIGENROW_FIELDS)]
+        for row in rows:
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_kmax_guard_exits_2(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -411,6 +480,16 @@ class TestWriteRows:
         _write_rows(str(out), self.HEADER, self.ROWS, "json")
         records = [dict(zip(self.HEADER, row)) for row in self.ROWS]
         assert out.read_text() == json.dumps(records, indent=1) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lead_columns_read_as_part_of_every_row(self, tmp_path, fmt):
+        out = tmp_path / "rows.out"
+        lead = (7, 0.1, "%s%%")
+        header = ("a", "b", "c") + self.HEADER
+        _write_rows(str(out), header, self.ROWS, fmt, lead=lead)
+        plain = tmp_path / "plain.out"
+        _write_rows(str(plain), header, [lead + row for row in self.ROWS], fmt)
+        assert out.read_text() == plain.read_text()
 
     def test_no_rows_gives_the_header_alone(self, tmp_path):
         out = tmp_path / "rows.csv"

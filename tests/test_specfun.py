@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nlspectra import KernelParams
+from nlspectra import KernelParams, _purepy
 from nlspectra._backend import kernels
 from nlspectra._purepy import LANCZOS_C, LANCZOS_G
 from nlspectra.oracle import (
@@ -180,6 +180,31 @@ class TestBesselJ:
                 ref = float(oracle_bessel_j(nu, x))
                 bound = 8.0 * sys.float_info.epsilon * max(scale, abs(ref))
                 assert abs(value - ref) <= bound, (nu, x, value, ref)
+
+    @pytest.mark.parametrize("two_nu", range(-1, 22))
+    def test_large_argument_regime_within_8_eps_on_a_dense_grid(self, two_nu):
+        # both elements at 321 points of [28, 60], where the Hankel tables
+        # serve the integer orders
+        for i in range(321):
+            x = 28.0 + i / 10
+            scale = 8.0 * sys.float_info.epsilon * math.sqrt(2.0 / (math.pi * x))
+            got = kernels.bessel_j(two_nu, x)
+            for value, nu in zip(got, (0.5 * two_nu, 0.5 * two_nu - 1.0)):
+                ref = float(oracle_bessel_j(nu, x))
+                assert abs(value - ref) <= scale, (nu, x, value, ref)
+
+    @pytest.mark.parametrize("nu", range(-1, 11))
+    def test_hankel_table_truncates_below_1e_17_at_28(self, nu):
+        # the last tabulated term, a_k 28^-k, is the first below 1e-17: the
+        # terms fall with x, so the table serves every x >= 28; the terms
+        # before it are all above 1e-17 and fall from one to the next
+        p_co, q_co, _cph, _sph = _purepy._hankel_table(nu)
+        signed = [None] * (len(p_co) + len(q_co))
+        signed[0::2] = reversed(p_co)
+        signed[1::2] = reversed(q_co)
+        terms = [abs(a) * 28.0**-k for k, a in enumerate(signed)]
+        assert terms[-1] < 1e-17 <= min(terms[:-1])
+        assert all(b < a for a, b in zip(terms[1:-1], terms[2:]))
 
     @pytest.mark.parametrize("nu", [11.0, 11.5, 20.0, 32.0])
     def test_orders_beyond_the_verified_range_rejected(self, nu):

@@ -163,7 +163,7 @@ class TestLambdaMaclaurin:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_fixed_point_within_its_estimate(self, d):
         # beyond k*delta = 6, on both sides of the route switch, out to the
-        # series' reach (long ratio tables, a large q), and at the smallest
+        # series' reach (long coefficient tables, a large p), and at the smallest
         # alpha whose ratio needs a long denominator; never fewer terms than
         # k*delta / 2, from where the terms fall
         kds = [math.nextafter(6.0, 7.0), 6.5, 7.3, 9.0, 11.1, 13.7,
@@ -189,14 +189,14 @@ class TestLambdaMaclaurin:
         params = KernelParams(3, 2.0137, 1.0)
         ref = oracle_lambda_maclaurin(params, kd)
         lookups = []
-        table = _purepy._ratio_table
+        table = _purepy._series_table
         floor = _purepy._SUM_FLOOR
 
         def counted(*args):
             lookups.append(args)
             return table(*args)
 
-        monkeypatch.setattr(_purepy, "_ratio_table", counted)
+        monkeypatch.setattr(_purepy, "_series_table", counted)
         for tol in [10 * EPS, 1e-8]:
             lookups.clear()
             plain = lambda_maclaurin(params, kd, tol)
@@ -274,6 +274,30 @@ class TestLambdaMaclaurin:
         assert res.terms < spectra.MACLAURIN_TERM_CAP
         res = lambda_maclaurin(params, spectra.MACLAURIN_KDELTA_MAX)
         assert res.terms < spectra.MACLAURIN_TERM_CAP and res.est_rel_err < 1e-15
+
+    def test_estimate_holds_on_random_arguments(self):
+        # 300 draws of full-mantissa k and delta (not lattice norms), d 1..10,
+        # alpha cycling through 0, d, d+2-1e-12, 1e-300 and uniform, k*delta
+        # log-uniform in [1e-3, 2000], each at three tols: the first omitted
+        # term plus 2N units of 2^-p bound the error against the oracle
+        rng = random.Random(19)
+        failures = []
+        for i in range(300):
+            d = rng.randint(1, 10)
+            alpha = (0.0, float(d), d + 2 - 1e-12, 1e-300, rng.uniform(0.0, d + 2))[i % 5]
+            delta = 10.0 ** rng.uniform(-2.0, 1.0)
+            k = math.exp(rng.uniform(math.log(1e-3), math.log(2000.0))) / delta
+            while k * delta > spectra.MACLAURIN_KDELTA_MAX:
+                k = math.nextafter(k, 0.0)
+            params = KernelParams(d, alpha, delta)
+            ref = oracle_lambda_maclaurin(params, k)
+            for tol in (10 * EPS, 1e-12, 1e-8):
+                res = lambda_maclaurin(params, k, tol)
+                with mp.workprec(256):
+                    err = float(abs((res.lam - ref) / ref))
+                if not err <= res.est_rel_err:
+                    failures.append((d, alpha, delta, k, tol, err, res))
+        assert not failures, failures[:5]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_estimate_bounds_the_error(self, d):
