@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 
@@ -69,9 +70,6 @@ _LOG2_5 = math.log2(5.0)
 # The fixed-point sum stops once the first omitted term is below tol |S| by
 # this many bits.
 _STOP_MARGIN_BITS = 1.0
-# Rows of the smallest series table; larger ones double it. At most 32 tables
-# are kept; a lattice spectrum uses about 20, one per (p, g) it reaches.
-_SERIES_ROWS_MIN = 32
 
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
 # on z, so each call of orders 1..k_end-1 reads them from one immutable table
@@ -284,35 +282,43 @@ def stable_prefactor(x, log_y, z):
 
 
 @functools.lru_cache(maxsize=32)
-def _series_table(d, alpha, p, g, size):
+def _series_table(d, alpha, p, g):
     """The coefficients of the series for (d, alpha), scaled for a Horner
-    pass in 2y < 2^g at p fractional bits: rows n = 1..size (row 0 unused)
-    of A_n = floor(a_n 2^(p + (n-1) g)) and L_n = log2 a_n, with
+    pass in 2y < 2^g at p fractional bits: rows n = 1..L (row 0 unused) of
+    A_n = floor(a_n 2^(p + (n-1) g)) and L_n = log2 a_n, with
 
         a_n = rho_1 ... rho_(n-1) = c_1 / (c_n prod_(j<n) (j+1)(2j+d)),
 
     c_n = d + 2n - alpha, so that log2 |t_n| = L_n + (n-1) log2(2y). A_n is
     exact: c_1 2^(p + (n-1) g) = q den + r, den the product and
     0 <= r < den, is carried from row to row and A_n = floor(q / c_n), so
-    no row divides by den. The rows the call reaches, 32 or a power of 2
-    above; built whole and never changed."""
+    no row divides by den. Row L is the first with A_L = 0. From row 2 on
+    (c_n > 2) the row ratio rho_n 2^g = 2^g c_n / (c_(n+1) (n+1) (2n+d))
+    falls strictly, so the rows rise to one peak and fall; A_1 = 2^p and
+    A_2 > 0 (p >= 96, c_1 >= 2^-51), so row L lies past the peak and every
+    later row is 0 too. Its term |t_L| <= a_L 2^((L-1) g) is below 2^-p,
+    under tol |S| for every tol >= eps as p >= 64 + e_bits + 4 bitlen(x)
+    and |S| >~ 5 / x^2 (``maclaurin_lambda``): every call's N + 1 is a row.
+    Built whole and never changed; at most 32 are kept, and a lattice
+    spectrum uses about 18, one per (p, g) it reaches."""
     an, aq = float(alpha).as_integer_ratio()
     c_1 = (d + 2) * aq - an  # c_1 aq
     c, den, q, r = c_1, 1, c_1 << p, 0
     rows, logs = [0], [0.0]
-    for n in range(1, size + 1):
+    for n in itertools.count(1):
         rows.append(q // c)
         logs.append(math.log2(c_1) - math.log2(c) - math.log2(den))
+        if not rows[n]:
+            return tuple(rows), tuple(logs)
         step = (n + 1) * (2 * n + d)
         u, v = divmod(r << g, den)
         q, z = divmod((q << g) + u, step)
         r = z * den + v
         den *= step
         c += 2 * aq
-    return tuple(rows), tuple(logs)
 
 
-def maclaurin_lambda(d, alpha, k, delta, tol, cap):
+def maclaurin_lambda(d, alpha, k, delta, tol):
     """Small-k*delta eigenvalue series, prefactor included.
 
     Returns (value, terms, converged, est_rel_err). The n = 1 term is
@@ -350,9 +356,10 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     (0, 2], F x^2 = 3.27 on [2, sqrt 5], 3.89 on [sqrt 5, 6] and 5.23 on
     [6, 2000] (d = 1, alpha = 0, x = 7.7). Once S is known, the same test
     runs against |S| itself; should it fail, as it can where the floor
-    exceeds F (x from about 2 to 6), N grows and the pass runs again. A tol
-    from 1/2 up acts as 1/2: then |S| < 2 |F|, which a double holds,
-    however early the sum stops.
+    exceeds F (x from about 2 to 6), N grows and the pass runs again, up to
+    the table's last row less one; a test still failing there leaves
+    converged False. A tol from 1/2 up acts as 1/2: then |S| < 2 |F|, which
+    a double holds, however early the sum stops.
 
     est_rel_err is the first omitted term plus the rounding bound, err, over
     |S| - err, plus 2 eps for forming F and -k (k F); it is inf where lambda
@@ -375,17 +382,10 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
     log_tol = (math.log2(tol) if tol < 0.5 else -1.0) - _STOP_MARGIN_BITS
     goal = log_tol + math.log2(_SUM_FLOOR) - (log_2y + 1.0 if x * x > 5.0 else _LOG2_5)
     n = math.ceil(0.5 * x) or 1
-    if n > cap:
-        n = cap
     while True:
-        # the first n with log2 |t_(n+1)| <= goal, from a table that has it
-        size = _SERIES_ROWS_MIN
-        while True:
-            coeffs, logs = _series_table(d, alpha, p, g, size)
-            hi = min(size - 1, cap)
-            if hi == cap or (hi >= n and logs[hi + 1] + hi * log_2y <= goal):
-                break
-            size *= 2
+        # the first n with log2 |t_(n+1)| <= goal, up to the table's last row
+        coeffs, logs = _series_table(d, alpha, p, g)
+        top = hi = len(logs) - 2
         while n < hi:
             mid = (n + hi) >> 1
             if logs[mid + 1] + mid * log_2y > goal:
@@ -399,7 +399,7 @@ def maclaurin_lambda(d, alpha, k, delta, tol, cap):
         log_f = math.log2(f) if f > 0.0 else -math.inf
         log_t = logs[n + 1] + n * log_2y  # log2 |t_(n+1)|
         converged = log_t <= log_tol + log_f
-        if converged or n == cap:
+        if converged or n == top:
             break
         if f > 0.0:
             goal = log_tol + log_f

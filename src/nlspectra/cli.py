@@ -75,12 +75,12 @@ def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str, lead: tuple 
 
 
 def _squared_norm(k: float):
-    """m = k^2 for ``eval``: where k*k falls below the normal doubles, the
-    exact square as text of 17 significant digits, never the constant mode's
-    0; an int where integral below 2^53 (above it, int() prints false
-    digits); else the double k*k."""
+    """m = k^2 for ``eval``: where k*k falls below the normal doubles or
+    overflows them, the exact square as text of 17 significant digits, never
+    the constant mode's 0 or inf; an int where integral below 2^53 (above
+    it, int() prints false digits); else the double k*k."""
     m = k * k
-    if k and m < sys.float_info.min:
+    if k and not sys.float_info.min <= m < math.inf:
         from decimal import Context, Decimal
 
         return format(Context(prec=17).multiply(Decimal(k), Decimal(k)), ".17g")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative evaluation hit its order or term cap.
+    """An iterative evaluation hit its order cap or the end of its table.
 
     ``result`` carries the best available value (a TransformResult or
     EvalResult), so callers that can live with reduced accuracy may still

@@ -40,7 +40,6 @@ from .errors import NonConvergenceError
 __all__ = [
     "DEFAULT_TOL",
     "HYBRID_SWITCH",
-    "MACLAURIN_TERM_CAP",
     "KernelParams",
     "EvalResult",
     "SpectrumTable",
@@ -58,14 +57,11 @@ __all__ = [
 #: cheaper beyond 40).
 HYBRID_SWITCH = 28.0
 
-#: Series cap; below the switch point the series needs at most about 50
-#: terms, the cap guards misuse with k*delta far beyond it.
-MACLAURIN_TERM_CAP = 4000
-
-#: Largest k*delta the series is summed at. It needs about 1.4 k*delta
-#: terms there (2,725 at 2,000, within MACLAURIN_TERM_CAP) and about 3,000
-#: bits of working precision; beyond it ``lambda_maclaurin`` raises
-#: NonConvergenceError at once.
+#: Largest k*delta the series is summed at, the route's only limit. It
+#: needs about 1.4 k*delta terms there (at most 2,729 at 2,000 and tol = eps,
+#: of a coefficient table of about 3,700 rows) and about 3,000 bits of working
+#: precision; beyond it ``lambda_maclaurin`` raises NonConvergenceError at
+#: once.
 MACLAURIN_KDELTA_MAX = 2000.0
 
 LATTICE_KMAX_LIMIT = 4096
@@ -162,7 +158,9 @@ def lambda_maclaurin(
     k*delta log2(e) bits to their cancellation. Beyond MACLAURIN_KDELTA_MAX,
     and where (k*delta)^2 leaves the double range, NonConvergenceError is
     raised at once; where |lambda| exceeds it, ValueError. Where lambda
-    falls below the normal doubles (a tiny k), ``est_rel_err`` is inf.
+    falls below the normal doubles (a tiny k), ``est_rel_err`` is inf. The
+    end of the coefficient table, which no tol >= eps reaches, also raises
+    NonConvergenceError.
     """
     _check_eval_args(params, k_mod, tol)
     if k_mod == 0.0:
@@ -178,15 +176,15 @@ def lambda_maclaurin(
             result=EvalResult(math.nan, "maclaurin", 0, math.inf),
         )
     value, terms, converged, est = _k.maclaurin_lambda(
-        params.d, params.alpha, k_mod, params.delta, tol, MACLAURIN_TERM_CAP
+        params.d, params.alpha, k_mod, params.delta, tol
     )
     if value == -math.inf:
         raise _beyond_double_range(params.d, params.alpha, params.delta, kd)
     result = EvalResult(value, "maclaurin", terms, est)
     if not converged:
         raise NonConvergenceError(
-            f"series hit the {MACLAURIN_TERM_CAP}-term cap at "
-            f"k*delta={k_mod * params.delta:g} (est {est:.2e})",
+            f"series reached the end of its coefficient table at "
+            f"k*delta={kd:g} (est {est:.2e})",
             result=result,
         )
     return result
@@ -347,11 +345,8 @@ def lambda_asymptotic(
     # the absolute error of each part over |part_a + part_b|: part_a through
     # the rounding of its exponent t, each Bessel-Lommel product through its
     # Lommel estimate and an absolute error of J. Against mpmath, J errs by
-    # at most 8 eps sqrt(2/(pi kd)). The 128 up to kd = 7 covers part of
-    # the shortfall of the Lommel estimates below kd = 6, which direct
-    # calls reach: with 8 there, more direct calls err above their estimate,
-    # by far more (ROADMAP item 1).
-    j_err = (128.0 if kd <= 7.0 else 8.0) * _EPS * math.sqrt(2.0 / (math.pi * kd))
+    # at most 8 eps sqrt(2/(pi kd)).
+    j_err = 8.0 * _EPS * math.sqrt(2.0 / (math.pi * kd))
     err = abs(part_a) * 4.0 * _EPS * (1.0 + abs(t)) + abs(w) * (
         abs((d - 2.0 - alpha) * s1.value) * (abs(j1) * (s1.est_rel_err + 2.0 * _EPS) + j_err)
         + abs(s2.value) * (abs(j2) * (s2.est_rel_err + 2.0 * _EPS) + j_err)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -268,12 +269,53 @@ class TestLambdaMaclaurin:
         assert rel(res.lam, oracle_lambda_maclaurin(params, k)) <= res.est_rel_err <= 4 * EPS
 
     def test_reach_of_the_series(self):
-        # the last k*delta the guard lets through stays within the term cap
+        # the last k*delta the guard lets through converges within its
+        # coefficient table, at the loosest tol and at the default
         params = KernelParams(3, 2.0, 1.0)
-        res = lambda_maclaurin(params, spectra.MACLAURIN_KDELTA_MAX, 1e300)
-        assert res.terms < spectra.MACLAURIN_TERM_CAP
-        res = lambda_maclaurin(params, spectra.MACLAURIN_KDELTA_MAX)
-        assert res.terms < spectra.MACLAURIN_TERM_CAP and res.est_rel_err < 1e-15
+        kd = spectra.MACLAURIN_KDELTA_MAX
+        res = lambda_maclaurin(params, kd, 1e300)
+        assert res.terms >= math.ceil(kd / 2)
+        res = lambda_maclaurin(params, kd)
+        assert res.terms < 1.4 * kd and res.est_rel_err < 1e-15
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_series_table_ends_at_its_first_zero_row(self, d, monkeypatch):
+        # at the (p, g) that k*delta from 0 (underflowed) to the series'
+        # reach asks for: the last row is the table's only zero row, 64 rows
+        # continued past it in exact rationals are 0 too, and N + 1 at
+        # tol = eps is a row of the table
+        keys = []
+        table = _purepy._series_table
+
+        def recorded(*key):
+            keys.append(key)
+            return table(*key)
+
+        monkeypatch.setattr(_purepy, "_series_table", recorded)
+        rng = random.Random(d)
+        kdeltas = [(1e-170, 1e-170), (1e-3, 1.0), (0.3, 1.0), (6.0, 1.0), (27.9, 1.0),
+                   (100.0, 1.0), (2000.0, 1.0)]
+        for alpha in (0.0, float(d), d + 2 - 1e-12, 1e-300, rng.uniform(0.0, d + 2.0)):
+            a = Fraction(alpha)
+            for k, delta in kdeltas:
+                keys.clear()
+                terms, converged = _purepy.maclaurin_lambda(d, alpha, k, delta, EPS)[1:3]
+                assert converged and len(set(keys)) == 1, (alpha, k * delta)
+                _, _, p, g = keys[0]
+                rows = table(*keys[0])[0]
+                last = len(rows) - 1
+                assert [n for n in range(1, last + 1) if rows[n] == 0] == [last]
+                assert terms + 1 <= last, (alpha, k * delta)
+                den = math.prod((j + 1) * (2 * j + d) for j in range(1, last))
+                v = (d + 2 - a) / ((d + 2 * last - a) * den) * 2 ** (p + (last - 1) * g)
+                for n in range(last, last + 64):
+                    assert v < 1, (alpha, k * delta, n)
+                    v *= (d + 2 * n - a) / ((d + 2 * n + 2 - a) * (n + 1) * (2 * n + d)) * 2**g
+
+    def test_cold_call_at_the_reach_builds_one_table(self):
+        _purepy._series_table.cache_clear()
+        lambda_maclaurin(KernelParams(3, 2.0, 1.0), spectra.MACLAURIN_KDELTA_MAX)
+        assert _purepy._series_table.cache_info().misses == 1
 
     def test_estimate_holds_on_random_arguments(self):
         # 300 draws of full-mantissa k and delta (not lattice norms), d 1..10,
@@ -350,32 +392,35 @@ class TestLambdaAsymptotic:
                 assert err <= res.est_rel_err, (alpha, kd)
 
     def test_estimate_is_inf_below_the_floor_and_holds_above_it(self):
-        # direct calls at 10 eps: from k*delta = 1 to the floor the Lommel
-        # factors err above their estimates (up to 9.5x in [1, 3)), so no
-        # estimate is given; from the floor to 8 it bounds the error
+        # direct calls at 10 eps, 1e-12 and 1e-8: from k*delta = 1 to the
+        # floor the Lommel factors err above their estimates (up to 9.5x in
+        # [1, 3) at 10 eps), so no estimate is given; from the floor to 8 it
+        # bounds the error, with the flat 8 eps budget for J
         rng = random.Random(5)
         assert spectra.ASYMPTOTIC_KDELTA_MIN == 5.0
         failures = []
         for i in range(400):
             d = rng.randint(1, 10)
-            alpha = (0.0, float(d), rng.uniform(0.0, d + 2.0))[i % 3]
+            alpha = (0.0, float(d), d + 2 - 1e-12, 1e-300, rng.uniform(0.0, d + 2.0))[i % 5]
             params = KernelParams(d, alpha, 1.0)
             if i % 2:
                 kd = rng.uniform(1.0, 5.0)
-                try:
-                    res = lambda_asymptotic(params, kd, 10 * EPS)
-                except NonConvergenceError as exc:
-                    res = exc.result
-                if res.est_rel_err != math.inf:
-                    failures.append((d, alpha, kd, res))
+                for tol in (10 * EPS, 1e-12, 1e-8):
+                    try:
+                        res = lambda_asymptotic(params, kd, tol)
+                    except NonConvergenceError as exc:
+                        res = exc.result
+                    if res.est_rel_err != math.inf:
+                        failures.append((d, alpha, kd, tol, res))
                 continue
             kd = rng.uniform(5.0, 8.0)
-            res = lambda_asymptotic(params, kd, 10 * EPS)
             ref = oracle_lambda_maclaurin(params, kd)
-            with mp.workprec(256):
-                err = abs((res.lam - ref) / ref)
-            if not err <= res.est_rel_err:
-                failures.append((d, alpha, kd, res, float(err)))
+            for tol in (10 * EPS, 1e-12, 1e-8):
+                res = lambda_asymptotic(params, kd, tol)
+                with mp.workprec(256):
+                    err = abs((res.lam - ref) / ref)
+                if not err <= res.est_rel_err:
+                    failures.append((d, alpha, kd, tol, res, float(err)))
         assert not failures, failures[:5]
 
     @pytest.mark.parametrize(
@@ -767,8 +812,15 @@ class TestLattice:
         assert list(table.entries) == ms
 
     def test_nonconvergence_reports_same_error_for_any_jobs(self, monkeypatch):
-        # forked workers inherit the patched cap
-        monkeypatch.setattr(spectra, "MACLAURIN_TERM_CAP", 2)
+        # forked workers inherit the patched kernel, whose series never
+        # converges
+        kernel = _purepy.maclaurin_lambda
+
+        def unconverged(*args):
+            lam, terms, _, est = kernel(*args)
+            return lam, terms, False, est
+
+        monkeypatch.setattr(_purepy, "maclaurin_lambda", unconverged)
         errors = []
         for jobs in (1, 2):
             with pytest.raises(NonConvergenceError) as info:
