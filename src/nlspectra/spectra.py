@@ -449,6 +449,28 @@ def lattice_spectrum(
     return SpectrumTable(params=params, kmax=kmax, entries=entries)
 
 
+def _wavevector(kvec, d: int) -> tuple[int, ...]:
+    """The int tuple of a wavevector key of ``apply_to_fourier_coeffs``, or a
+    ValueError naming the key, raised from None: a memo miss may lead here."""
+    try:
+        kt = tuple(map(int, kvec))
+    except (OverflowError, ValueError):  # an infinite or NaN entry
+        kt = None
+    except TypeError:  # not iterable, or an entry that is not a number
+        raise ValueError(f"wavevector {kvec!r} is not a sequence of numbers") from None
+    # a tuple key of integral entries equals kt; a key of another
+    # sequence type never does, so its entries are compared as a tuple
+    if kt != kvec and kt != tuple(kvec):
+        raise ValueError(f"wavevector {kvec!r} has a non-integral entry") from None
+    if len(kt) != d:
+        raise ValueError(f"wavevector {kvec!r} does not have d={d} entries") from None
+    if any(abs(c) > LATTICE_KMAX_LIMIT for c in kt):
+        raise ValueError(
+            f"wavevector {kvec!r} exceeds |k|_inf <= {LATTICE_KMAX_LIMIT}"
+        ) from None
+    return kt
+
+
 def apply_to_fourier_coeffs(
     params: KernelParams,
     coeffs: Mapping[tuple[int, ...], complex],
@@ -458,47 +480,43 @@ def apply_to_fourier_coeffs(
 
     The operator acts diagonally on Fourier modes, so this is a pointwise
     multiply with an m-deduplicated eigenvalue cache shared across the call.
-    Each distinct coordinate value is checked against LATTICE_KMAX_LIMIT
-    once per call: a coordinate memo maps every coordinate that passed to
-    its square, and m = |k|^2 is summed from it. Output keys are int tuples,
-    in the order of ``coeffs``; an invalid wavevector raises ValueError when
-    the pass reaches it.
+    A coordinate memo maps each coordinate value that passed the
+    LATTICE_KMAX_LIMIT check in this call to its square, and m = |k|^2 is
+    summed from it. A key that is a plain tuple of d exact ints is checked
+    once per distinct coordinate and is its own output key; any other key
+    is checked and converted to an int tuple, which is the output key.
+    Output is in the order of ``coeffs``; an invalid wavevector raises
+    ValueError when the pass reaches it.
     """
     if not isinstance(params, KernelParams):
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
     _check_tol(tol)
+    try:
+        items = coeffs.items
+    except AttributeError:
+        raise ValueError(
+            f"coeffs must be a mapping of wavevector to amplitude, got {type(coeffs)!r}"
+        ) from None
     d = params.d
+    only_ints = {int}.issuperset
     cache: dict[int, float] = {}
     squares: dict[int, int] = {}
     square = squares.__getitem__
     out: dict[tuple[int, ...], complex] = {}
-    for kvec, amp in coeffs.items():
+    for kvec, amp in items():
+        # the memo is looked up with exact ints only: a float or bool entry
+        # would hit it for the int it equals and stay in the output key
+        if type(kvec) is not tuple or len(kvec) != d or not only_ints(map(type, kvec)):
+            kvec = _wavevector(kvec, d)
         try:
-            # unpacked: tuple(map(...)) raised peak RSS by 0.35 MiB on a
-            # block of 185,193 wavevectors; this form is as fast and did not
-            kt = (*map(int, kvec),)
-        except (OverflowError, ValueError):  # an infinite or NaN entry
-            kt = None
-        except TypeError:  # not iterable, or an entry that is not a number
-            raise ValueError(f"wavevector {kvec!r} is not a sequence of numbers") from None
-        # a tuple key of integral entries equals kt; a key of another
-        # sequence type never does, so its entries are compared as a tuple
-        if kt != kvec and kt != tuple(kvec):
-            raise ValueError(f"wavevector {kvec!r} has a non-integral entry")
-        if len(kt) != d:
-            raise ValueError(f"wavevector {kvec!r} does not have d={d} entries")
-        try:
-            m = sum(map(square, kt))
+            m = sum(map(square, kvec))
         except KeyError:  # a coordinate not checked yet in this call
-            if any(abs(c) > LATTICE_KMAX_LIMIT for c in kt):
-                raise ValueError(
-                    f"wavevector {kvec!r} exceeds |k|_inf <= {LATTICE_KMAX_LIMIT}"
-                ) from None
-            for c in kt:
+            _wavevector(kvec, d)  # for its |k|_inf check
+            for c in kvec:
                 squares[c] = c * c
-            m = sum(map(square, kt))
+            m = sum(map(square, kvec))
         lam = cache.get(m)
         if lam is None:
             lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
-        out[kt] = amp * lam
+        out[kvec] = amp * lam
     return out

@@ -3,6 +3,8 @@ import math
 import random
 import re
 import time
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -847,8 +849,10 @@ class TestApplyToFourierCoeffs:
         assert out[(3, 4)] == out[(5, 0)]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), {(1, 0, 0): 1.0 + 0j})
+        # also where (1, 0) has put every coordinate of (1, 0, 0) in the memo
+        for coeffs in ({(1, 0, 0): 1.0 + 0j}, {(1, 0): 1.0, (1, 0, 0): 1.0}):
+            with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not have d=2 entries"):
+                apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), coeffs)
 
     def test_non_integral_wavevector_rejected(self):
         # truncated to (1, 0), (1.5, 0) would be overwritten by (1, 0)'s own
@@ -919,6 +923,12 @@ class TestApplyToFourierCoeffs:
         assert list(out) == [(2, 0, -1), (1, 2, 2)]
         assert all(type(c) is int for k in out for c in k)
         assert out[(1, 2, 2)] == 2.0 * lambda_hybrid(params, 3.0).lam
+        # also where both coordinates of (2.0, 0) are in the memo when it arrives
+        params = KernelParams(2, 1.0, 0.5)
+        out = apply_to_fourier_coeffs(params, {(2, 1): 1.0, (0, 1): 2.0, (2.0, 0): 3.0})
+        assert list(out) == [(2, 1), (0, 1), (2, 0)]
+        assert all(type(c) is int for k in out for c in k)
+        assert out[(2, 0)] == 3.0 * lambda_hybrid(params, 2.0).lam
 
     def test_one_evaluation_per_distinct_norm(self, monkeypatch):
         calls = []
@@ -932,3 +942,48 @@ class TestApplyToFourierCoeffs:
         apply_to_fourier_coeffs(KernelParams(3, 1.0, 0.5), dict.fromkeys(keys, 1.0))
         norms = {sum(c * c for c in k) for k in keys}
         assert sorted(calls) == sorted(map(math.sqrt, norms))
+
+    @pytest.mark.parametrize("coeffs", [[((1, 0), 1.0)], None, 5])
+    def test_coeffs_without_items_rejected(self, coeffs):
+        # these used to raise a bare AttributeError
+        with pytest.raises(ValueError, match=r"coeffs must be a mapping .*, got <class "):
+            apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), coeffs)
+
+    def test_duck_typed_mapping_accepted(self):
+        class Pairs:
+            def items(self):
+                return iter([((1, 0), 2.0), ((0, 2), 1.0)])
+
+        params = KernelParams(2, 1.0, 0.5)
+        out = apply_to_fourier_coeffs(params, Pairs())
+        assert out == {(1, 0): 2.0 * lambda_hybrid(params, 1.0).lam,
+                       (0, 2): lambda_hybrid(params, 2.0).lam}
+
+    def test_bool_and_int_subclass_entries_come_back_as_exact_ints(self):
+        class Axis(IntEnum):
+            X = 1
+            Y = 2
+
+        params = KernelParams(2, 1.0, 0.5)
+        # (0, 1) and (2, 2) put every coordinate in the memo before the others
+        coeffs = {(0, 1): 1.0, (2, 2): 1.0, (True, 0): 2.0, (Axis.Y, False): 3.0}
+        out = apply_to_fourier_coeffs(params, coeffs)
+        assert list(out)[2:] == [(1, 0), (2, 0)]
+        assert out[(1, 0)] == 2.0 * lambda_hybrid(params, 1.0).lam
+        assert out[(2, 0)] == 3.0 * lambda_hybrid(params, 2.0).lam
+        assert all(type(c) is int for k in out for c in k)
+
+    def test_namedtuple_key_comes_back_as_a_plain_tuple(self):
+        Wave = namedtuple("Wave", "x y")
+        params = KernelParams(2, 1.0, 0.5)
+        for coeffs in ({Wave(1, 2): 1.0}, {(1, 2): 1.0, Wave(2, 1): 1.0}):
+            out = apply_to_fourier_coeffs(params, coeffs)
+            assert all(type(k) is tuple for k in out)
+            assert list(out) == [tuple(k) for k in coeffs]
+
+    def test_exact_int_keys_are_the_output_keys(self):
+        keys = list(itertools.product(range(-300, 301, 150), repeat=3))
+        coeffs = dict.fromkeys(keys, 1.0)
+        out = apply_to_fourier_coeffs(KernelParams(3, 1.0, 1e-3), coeffs)
+        assert len(out) == len(coeffs)
+        assert all(a is b for a, b in zip(coeffs, out))
