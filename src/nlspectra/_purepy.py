@@ -45,8 +45,8 @@ _HANKEL_X_MIN = 28.0
 
 # N, D in the Drummond recurrence grow factorially; a common power-of-two
 # rescale leaves every approximant T = N/D bit-identical. The need for one
-# is checked once every few orders, as many as the growth bounds cached with
-# the coefficient table (``_growth_bounds``) fit into
+# is checked once every few orders, as many as the growth bounds built with
+# the coefficient table (``_coefficient_table``) fit into
 # _RESCALE_HEADROOM_BITS, so that between checks the largest |N| or |D|
 # stays within 2^-1012..2^1012 (see ``_drummond_recurrence``).
 _RESCALE_THRESHOLD = 2.0**512
@@ -72,10 +72,11 @@ _LOG2_5 = math.log2(5.0)
 _STOP_MARGIN_BITS = 1.0
 
 # The recurrence coefficients depend on (alpha, beta, n) and the order, not
-# on z, so each call of orders 1..k_end-1 reads them from one immutable table
-# shared by every call with the same (alpha, beta, n, k_end). At most
-# _TABLES_KEPT tables are kept (the least recently used goes first); a call
-# beyond _TABLE_ORDERS computes its coefficients as it goes and keeps none.
+# on z, so each call of orders 1..k_end-1 reads them, and their growth
+# bounds, from one immutable table shared by every call with the same
+# (alpha, beta, n, k_end). At most _TABLES_KEPT tables are kept (the least
+# recently used goes first); a call beyond _TABLE_ORDERS computes its
+# coefficients as it goes and keeps none.
 _TABLES_KEPT = 8
 _TABLE_ORDERS = 4096
 
@@ -445,53 +446,37 @@ def _coefficient_rows(alpha, beta, n, k_end):
 
 @functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
 def _coefficient_table(alpha, beta, n, k_end):
-    """The rows of ``_coefficient_rows`` as one tuple, built whole and never
-    changed. Keyed on the parameter types too, so a complex twin of real
-    parameters gets its own table. Callers that miss at once may each build
-    the same tuple; only one is kept."""
-    return tuple(_coefficient_rows(alpha, beta, n, k_end))
-
-
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
-def _growth_bounds(alpha, beta, n, k_end):
-    """(P, Q) over the rows of ``_coefficient_table`` such that at any z,
-    over one order, the largest |N| or |D| of the last three orders grows
-    and shrinks by at most a factor |z| P + Q. It bounds both of:
+    """(rows, P, Q): the rows of ``_coefficient_rows`` as one tuple, and
+    growth bounds over them such that at any z, over one order, the largest
+    |N| or |D| of the last three orders grows and shrinks by at most a
+    factor |z| P + Q. P is the larger coefficient of |z| and Q the larger
+    constant of:
 
     - forward growth, by g = |z| max |p| + max(|q| + |r| + |s|);
     - backward shrinkage from order 2 on, where s != 0 and N^(k-2) is
       (N^(k+1) - b N^(k) - r N^(k-1)) / s, by
       h = |z| max(|p|/|s|) + max((1 + |q| + |r|)/|s|).
 
-    |c| is bounded above by |Re c| + |Im c| and below by max(|Re c|, |Im c|).
-    A NaN coefficient, which the max may pass over, makes N and D NaN from
-    its order on, whatever their scale. Cached next to the table, on the
-    same key."""
-    p_f = q_f = p_b = q_b = 0.0
-    for k, p, q, r, s in _coefficient_table(alpha, beta, n, k_end):
-        ap = abs(p.real) + abs(p.imag)
-        aq = abs(q.real) + abs(q.imag)
-        ar = abs(r.real) + abs(r.imag)
-        p_f = max(p_f, ap)
-        q_f = max(q_f, aq + ar + abs(s.real) + abs(s.imag))
-        if k >= 2:
-            s_low = max(abs(s.real), abs(s.imag))
-            if s_low == 0.0:  # lead overflowed: no backward bound
-                return (math.inf, math.inf)
-            p_b = max(p_b, ap / s_low)
-            q_b = max(q_b, (1.0 + aq + ar) / s_low)
-    return (max(p_f, p_b), max(q_f, q_b))
-
-
-def _check_interval(z, alpha, beta, n, k_end):
-    """Orders from one rescale check to the next at this z:
-    max(1, floor(_RESCALE_HEADROOM_BITS / log2 max(|z| P + Q, 2))) over the
-    ``_growth_bounds`` of the table, and 1 where the bound is not finite."""
-    p, q = _growth_bounds(alpha, beta, n, k_end)
-    growth = (abs(z.real) + abs(z.imag)) * p + q
-    if not growth < math.inf:  # NaN included
-        return 1
-    return int(_RESCALE_HEADROOM_BITS / math.log2(growth if growth > 2.0 else 2.0)) or 1
+    An s = 0 from order 2 on (lead overflowed) leaves no backward bound,
+    and P = Q = inf. A NaN coefficient, which the max may pass over, makes
+    N and D NaN from its order on, whatever their scale. Built whole in one
+    pass and never changed. Keyed on the parameter types too, so a complex
+    twin of real parameters gets its own entry. Callers that miss at once
+    may each build the same entry; only one is kept."""
+    rows = []
+    p_max = q_max = 0.0
+    for row in _coefficient_rows(alpha, beta, n, k_end):
+        rows.append(row)
+        k, p, q, r, s = row
+        p, q, r, s = abs(p), abs(q), abs(r), abs(s)
+        if k == 1:  # s = 0: no backward step
+            p_max, q_max = max(p_max, p), max(q_max, q + r + s)
+        elif s == 0.0:
+            p_max = q_max = math.inf
+        else:
+            p_max = max(p_max, p, p / s)
+            q_max = max(q_max, q + r + s, (1.0 + q + r) / s)
+    return tuple(rows), p_max, q_max
 
 
 def _stalled(t, order, diff, at):
@@ -518,13 +503,14 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     and rescales the window by 2^-512 or 2^512 once its largest modulus W
     leaves 2^-512..2^512; a check that rescales is followed by one at the
     next order. Over one order W grows and shrinks by at most a factor
-    |z| P + Q (``_growth_bounds``), so with ``every`` =
+    |z| P + Q, with the bounds (P, Q) of the table and |z| taken as
+    |Re z| + |Im z|, so with ``every`` =
     max(1, floor(_RESCALE_HEADROOM_BITS / log2 max(|z| P + Q, 2))) a run
     that starts from W within 2^-512..2^512 keeps it within 2^-1012..2^1012.
     While nothing leaves the normal doubles a power-of-two rescale commutes
     exactly with every operation of the recurrence, so each approximant has
-    the bits of a check at every order. A bound that is not finite, and a
-    call beyond _TABLE_ORDERS, check at every order.
+    the bits of a check at every order. A call beyond _TABLE_ORDERS takes
+    P = Q = inf, and a growth that is not finite checks at every order.
     """
     early = tol is not None
     a = 1.0
@@ -554,11 +540,13 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
         diff0 = abs(t_cur - t_prev)
         order = 1
     if k_end <= _TABLE_ORDERS:
-        rows = _coefficient_table(alpha, beta, n, k_end)
-        every = _check_interval(z, alpha, beta, n, k_end)
+        rows, p_bound, q_bound = _coefficient_table(alpha, beta, n, k_end)
     else:
-        rows = _coefficient_rows(alpha, beta, n, k_end)
-        every = 1
+        rows, p_bound, q_bound = _coefficient_rows(alpha, beta, n, k_end), math.inf, math.inf
+    growth = (abs(z.real) + abs(z.imag)) * p_bound + q_bound
+    every = 1
+    if growth < math.inf:  # not for NaN
+        every = int(_RESCALE_HEADROOM_BITS / math.log2(max(growth, 2.0))) or 1
     check_at = 1
     for k, p, q, r, s in rows:
         b = z * p + q

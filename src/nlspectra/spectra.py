@@ -139,9 +139,13 @@ class SpectrumTable:
 _ZERO_RESULT = EvalResult(0.0, "zero", 0, 0.0)
 
 
-def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
+def _check_params(params: KernelParams) -> None:
     if not isinstance(params, KernelParams):
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
+
+
+def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
+    _check_params(params)
     if not 0.0 <= k_mod < math.inf:
         raise ValueError(f"k_mod must be finite and >= 0, got {k_mod}")
     _check_tol(tol)
@@ -420,8 +424,7 @@ def lattice_spectrum(
     partitioned across worker processes. Results are keyed by m, so the
     table is identical for any worker count.
     """
-    if not isinstance(params, KernelParams):
-        raise ValueError(f"params must be KernelParams, got {type(params)!r}")
+    _check_params(params)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
     _check_int("jobs", jobs, 1)
     ms = achievable_squared_norms(params.d, kmax)
@@ -488,8 +491,7 @@ def apply_to_fourier_coeffs(
     Output is in the order of ``coeffs``; an invalid wavevector raises
     ValueError when the pass reaches it.
     """
-    if not isinstance(params, KernelParams):
-        raise ValueError(f"params must be KernelParams, got {type(params)!r}")
+    _check_params(params)
     _check_tol(tol)
     try:
         items = coeffs.items
@@ -518,5 +520,10 @@ def apply_to_fourier_coeffs(
         lam = cache.get(m)
         if lam is None:
             lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
-        out[kvec] = amp * lam
+        try:
+            out[kvec] = amp * lam
+        except TypeError:
+            raise ValueError(
+                f"amplitude {amp!r} of wavevector {kvec!r} is not a number"
+            ) from None
     return out

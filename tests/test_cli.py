@@ -180,11 +180,17 @@ class TestTable:
 
     def test_bad_grid_exits_2(self, tmp_path):
         out = tmp_path / "t.csv"
-        assert (
-            run("table", "--d", "2", "--alpha-min", "0", "--alpha-max", "4",
-                "--alpha-steps", "2", "--kdelta-min", "1", "--kdelta-max", "2",
-                "--kdelta-steps", "2", "--out", str(out)) == 2
-        )
+        good = {"--alpha-min": "0", "--alpha-max": "3", "--alpha-steps": "2",
+                "--kdelta-min": "1", "--kdelta-max": "2", "--kdelta-steps": "2"}
+        for bad in (
+            {"--alpha-max": "4"},  # alpha-max = d + 2
+            {"--alpha-steps": "0"},
+            {"--alpha-min": "2", "--alpha-max": "1"},
+            {"--alpha-steps": str(cli.TABLE_CELL_LIMIT // 1000 + 1), "--kdelta-steps": "1000"},
+        ):
+            grid = [a for kv in {**good, **bad}.items() for a in kv]
+            assert run("table", "--d", "2", *grid, "--out", str(out)) == 2, bad
+            assert not out.exists(), bad
 
     @pytest.mark.parametrize("method,columns", [
         ("mac", ["lambda_mac", "terms_mac", "est_mac", "err_mac"]),
@@ -451,11 +457,13 @@ class TestPhase:
 
     def test_order_guard_exits_2(self, tmp_path):
         out = tmp_path / "p.csv"
-        assert (
-            run("phase", "--alpha", "1", "--beta", "1", "--order", "100000",
-                "--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1",
-                "--nx", "2", "--ny", "2", "--out", str(out)) == 2
-        )
+        for order, nx in (("100000", "2"), ("10", "0")):
+            assert (
+                run("phase", "--alpha", "1", "--beta", "1", "--order", order,
+                    "--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1",
+                    "--nx", nx, "--ny", "2", "--out", str(out)) == 2
+            ), (order, nx)
+            assert not out.exists()
 
 
 class TestWriteRows:

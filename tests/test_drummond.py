@@ -307,13 +307,13 @@ class TestCoefficientTables:
         _value, _order, converged, _est = _purepy.drummond_2f0(1.0, 1.0, 8.0, 0, DEFAULT_TOL, 500)
         assert converged
         assert cold_tables.cache_info().currsize == 1
-        table = cold_tables(1.0, 1.0, 0, 500)
-        assert isinstance(table, tuple)
-        assert [row[0] for row in table] == list(range(1, 500))
+        entry = cold_tables(1.0, 1.0, 0, 500)
+        assert isinstance(entry, tuple) and isinstance(entry[0], tuple)
+        assert [row[0] for row in entry[0]] == list(range(1, 500))
         _purepy.drummond_2f0(1.0, 1.0, 9.0, 0, DEFAULT_TOL, 500)
         _purepy.drummond_2f0_fixed(1.0, 1.0, -2.5, 0, 500)
         assert cold_tables.cache_info().currsize == 1
-        assert cold_tables(1.0, 1.0, 0, 500) is table
+        assert cold_tables(1.0, 1.0, 0, 500) is entry
 
     def test_call_beyond_the_cap_keeps_no_table(self, cold_tables, monkeypatch):
         case = (1.0, 0.25, 0, 4.5)
@@ -357,8 +357,8 @@ class TestCoefficientTables:
                 # one table per k_end, one row per order, none repeated or skipped
                 assert cold_tables.cache_info().currsize == 2
                 for k_end in (120, 500):
-                    table = cold_tables(*case, k_end)
-                    assert [row[0] for row in table] == list(range(1, k_end))
+                    rows = cold_tables(*case, k_end)[0]
+                    assert [row[0] for row in rows] == list(range(1, k_end))
         finally:
             sys.setswitchinterval(interval)
 
@@ -406,8 +406,13 @@ class TestRescaleSchedule:
 
     @staticmethod
     def interval(case):
+        # the schedule of _drummond_recurrence, from the bounds of the entry
         alpha, beta, n, z, order = case
-        return _purepy._check_interval(z, alpha, beta, n, order)
+        _rows, p, q = _purepy._coefficient_table(alpha, beta, n, order)
+        growth = (abs(z.real) + abs(z.imag)) * p + q
+        if not growth < math.inf:
+            return 1
+        return int(_purepy._RESCALE_HEADROOM_BITS / math.log2(max(growth, 2.0))) or 1
 
     def assert_same_bits_as_every_order(self, cases, monkeypatch):
         scheduled = self.outcomes(cases)
@@ -417,6 +422,10 @@ class TestRescaleSchedule:
 
     def test_rescaling_calls_keep_their_bits(self, monkeypatch):
         assert all(1 < self.interval(case) < 100 for case in self.RESCALING)
+        scheduled = self.outcomes(self.RESCALING)
+        with monkeypatch.context() as m:
+            m.setattr(_purepy, "_TABLE_ORDERS", 0)  # rows from the generator
+            assert self.outcomes(self.RESCALING) == scheduled
         self.assert_same_bits_as_every_order(self.RESCALING, monkeypatch)
         monkeypatch.setattr(_purepy, "_RESCALE_THRESHOLD", math.inf)
         monkeypatch.setattr(_purepy, "_RESCALE_TINY", 0.0)
@@ -450,6 +459,18 @@ class TestRescaleSchedule:
         case = (complex(-2.0, 1e-100), complex(1.0), 0, complex(3.0), 500)
         assert self.interval(case) == 1
         self.assert_same_bits_as_every_order([case], monkeypatch)
+
+    def test_unbounded_and_empty_tables_keep_their_bits(self, monkeypatch):
+        # alpha = beta = 1e200: lead overflows, so s = 0 from order 2 on and
+        # no backward bound exists; the check runs at every order
+        overflow = (1e200, 1e200, 0, 8.0, 500)
+        assert _purepy._coefficient_table(1e200, 1e200, 0, 500)[1:] == (math.inf, math.inf)
+        assert self.interval(overflow) == 1
+        # fixed order 1 is k_end = 1: no rows, so nothing grows
+        empty = (1.0, 1.0, 0, 8.0, 1)
+        assert _purepy._coefficient_table(1.0, 1.0, 0, 1) == ((), 0.0, 0.0)
+        assert self.interval(empty) == int(_purepy._RESCALE_HEADROOM_BITS)
+        self.assert_same_bits_as_every_order([overflow, empty], monkeypatch)
 
 
 class TestDrummond2F0AtOrder:

@@ -66,6 +66,22 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             KernelParams(d, alpha, delta)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: lambda_maclaurin(p, 1.0),
+            lambda p: lambda_asymptotic(p, 40.0),
+            lambda p: lambda_hybrid(p, 1.0),
+            lambda p: lattice_spectrum(p, 2),
+            lambda p: apply_to_fourier_coeffs(p, {(1, 0, 0): 1.0}),
+        ],
+        ids=["maclaurin", "asymptotic", "hybrid", "lattice", "fourier"],
+    )
+    def test_lookalike_params_rejected(self, call):
+        Params = namedtuple("Params", "d alpha delta")
+        with pytest.raises(ValueError, match=r"params must be KernelParams, got <class "):
+            call(Params(3, 2.0, 1.0))
+
 
 class TestStablePrefactor:
     """The kernel's f(x, y, z), taken from log y, and its exponent t."""
@@ -948,6 +964,13 @@ class TestApplyToFourierCoeffs:
         # these used to raise a bare AttributeError
         with pytest.raises(ValueError, match=r"coeffs must be a mapping .*, got <class "):
             apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), coeffs)
+
+    @pytest.mark.parametrize("amp", ["x", None])
+    def test_amplitude_that_is_not_a_number_rejected(self, amp):
+        with pytest.raises(
+            ValueError, match=r"amplitude .* of wavevector \(1, 0\) is not a number"
+        ):
+            apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), {(0, 1): 1.0, (1, 0): amp})
 
     def test_duck_typed_mapping_accepted(self):
         class Pairs:
