@@ -75,10 +75,9 @@ _STOP_MARGIN_BITS = 1.0
 # on z, so each call of orders 1..k_end-1 reads them, and their growth
 # bounds, from one immutable table shared by every call with the same
 # (alpha, beta, n, k_end). At most _TABLES_KEPT tables are kept (the least
-# recently used goes first); a call beyond _TABLE_ORDERS computes its
-# coefficients as it goes and keeps none.
+# recently used goes first); ``drummond.ORDER_LIMIT`` bounds k_end, so a
+# table holds at most 4,999 rows.
 _TABLES_KEPT = 8
-_TABLE_ORDERS = 4096
 
 
 def _lanczos_sum(z):
@@ -422,35 +421,20 @@ def _nan_like(v):
     return math.nan
 
 
-def _coefficient_rows(alpha, beta, n, k_end):
-    """The recurrence coefficients of orders k = 1..k_end-1, each divided
-    by lead = (alpha+n+k+1)(beta+n+k+1) and negated, so that an order is
-    one multiply-add per term: rows (k, p, q, r, s) with
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
+def _coefficient_table(alpha, beta, n, k_end):
+    """(rows, P, Q): the recurrence coefficients of orders k = 1..k_end-1,
+    each divided by lead = (alpha+n+k+1)(beta+n+k+1) and negated, so that an
+    order is one multiply-add per term: rows (k, p, q, r, s) with
 
         b = z*p + q,   N^(k+1) = b N^(k) + r N^(k-1) + s N^(k-2)
 
     and the same for D. p = -1/lead; q = -(k(alpha+beta+2n+2k+1) + lead)/lead,
     the sum formed before the divide; r = -k(alpha+beta+2n+3k)/lead;
-    s = -k(k-1)/lead. Only z varies between calls that share them."""
-    ab2n = alpha + beta + 2.0 * n
-    for k in range(1, k_end):
-        lead = (alpha + n + k + 1.0) * (beta + n + k + 1.0)
-        yield (
-            k,
-            -1.0 / lead,
-            -(k * (ab2n + 2.0 * k + 1.0) + lead) / lead,
-            -(k * (ab2n + 3.0 * k)) / lead,
-            -(k * (k - 1.0)) / lead,
-        )
-
-
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
-def _coefficient_table(alpha, beta, n, k_end):
-    """(rows, P, Q): the rows of ``_coefficient_rows`` as one tuple, and
-    growth bounds over them such that at any z, over one order, the largest
-    |N| or |D| of the last three orders grows and shrinks by at most a
-    factor |z| P + Q. P is the larger coefficient of |z| and Q the larger
-    constant of:
+    s = -k(k-1)/lead. P and Q bound the growth: at any z, over one order,
+    the largest |N| or |D| of the last three orders grows and shrinks by at
+    most a factor |z| P + Q. P is the larger coefficient of |z| and Q the
+    larger constant of:
 
     - forward growth, by g = |z| max |p| + max(|q| + |r| + |s|);
     - backward shrinkage from order 2 on, where s != 0 and N^(k-2) is
@@ -463,11 +447,16 @@ def _coefficient_table(alpha, beta, n, k_end):
     pass and never changed. Keyed on the parameter types too, so a complex
     twin of real parameters gets its own entry. Callers that miss at once
     may each build the same entry; only one is kept."""
+    ab2n = alpha + beta + 2.0 * n
     rows = []
     p_max = q_max = 0.0
-    for row in _coefficient_rows(alpha, beta, n, k_end):
-        rows.append(row)
-        k, p, q, r, s = row
+    for k in range(1, k_end):
+        lead = (alpha + n + k + 1.0) * (beta + n + k + 1.0)
+        p = -1.0 / lead
+        q = -(k * (ab2n + 2.0 * k + 1.0) + lead) / lead
+        r = -(k * (ab2n + 3.0 * k)) / lead
+        s = -(k * (k - 1.0)) / lead
+        rows.append((k, p, q, r, s))
         p, q, r, s = abs(p), abs(q), abs(r), abs(s)
         if k == 1:  # s = 0: no backward step
             p_max, q_max = max(p_max, p), max(q_max, q + r + s)
@@ -477,10 +466,6 @@ def _coefficient_table(alpha, beta, n, k_end):
             p_max = max(p_max, p, p / s)
             q_max = max(q_max, q + r + s, (1.0 + q + r) / s)
     return tuple(rows), p_max, q_max
-
-
-def _stalled(t, order, diff, at):
-    return (t, order, False, diff / at if at > 0.0 else math.inf)
 
 
 def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
@@ -493,9 +478,8 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     and stops once two consecutive approximant differences fall below
     tol * |T|, reporting the last difference relative to |T| plus
     _ROUNDING_PER_ORDER per order. Each order is one multiply-add per term
-    on a row of ``_coefficient_rows``, from the cached table of
-    (alpha, beta, n, k_end), whole up to order k_end - 1 however early the
-    call stops, or from the generator itself beyond _TABLE_ORDERS.
+    on a row of the cached ``_coefficient_table`` of (alpha, beta, n,
+    k_end), whole up to order k_end - 1 however early the call stops.
 
     The rescale check runs at order 1 and then every ``every`` orders, a
     single ``k == check_at`` comparison in between. It tests the whole
@@ -509,8 +493,7 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
     that starts from W within 2^-512..2^512 keeps it within 2^-1012..2^1012.
     While nothing leaves the normal doubles a power-of-two rescale commutes
     exactly with every operation of the recurrence, so each approximant has
-    the bits of a check at every order. A call beyond _TABLE_ORDERS takes
-    P = Q = inf, and a growth that is not finite checks at every order.
+    the bits of a check at every order, the schedule of infinite bounds.
     """
     early = tol is not None
     a = 1.0
@@ -539,10 +522,7 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
         at_cur = abs(t_cur)
         diff0 = abs(t_cur - t_prev)
         order = 1
-    if k_end <= _TABLE_ORDERS:
-        rows, p_bound, q_bound = _coefficient_table(alpha, beta, n, k_end)
-    else:
-        rows, p_bound, q_bound = _coefficient_rows(alpha, beta, n, k_end), math.inf, math.inf
+    rows, p_bound, q_bound = _coefficient_table(alpha, beta, n, k_end)
     growth = (abs(z.real) + abs(z.imag)) * p_bound + q_bound
     every = 1
     if growth < math.inf:  # not for NaN
@@ -578,7 +558,7 @@ def _drummond_recurrence(alpha, beta, z, n, tol, k_end):
         d_prev2, d_prev, d_cur = d_prev, d_cur, d_new
     if not early:
         return n_cur / d_cur if d_cur != 0 else _nan_like(d_cur)
-    return _stalled(t_cur, order, diff0, at_cur)
+    return (t_cur, order, False, diff0 / at_cur if at_cur > 0.0 else math.inf)
 
 
 def drummond_2f0(alpha, beta, z, n, tol, k_max):

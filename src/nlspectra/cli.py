@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .drummond import HypTerm2F0, _check_tol, drummond_2f0_at_order
+from .drummond import ORDER_LIMIT, HypTerm2F0, _check_int, _check_tol, drummond_2f0_at_order
 from .errors import NonConvergenceError
 from .spectra import (
     ASYMPTOTIC_KDELTA_MIN,
@@ -37,7 +37,6 @@ PHASEROW_FIELDS = ("re_z", "im_z", "re_T", "im_T")
 
 TABLE_CELL_LIMIT = 10**6
 PHASE_POINT_LIMIT = 4 * 10**6
-PHASE_ORDER_LIMIT = 5000
 
 
 def _line_format(row) -> str:
@@ -186,8 +185,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_phase(args) -> int:
     if args.nx < 1 or args.ny < 1 or args.nx * args.ny > PHASE_POINT_LIMIT:
         raise ValueError(f"grid must have between 1 and {PHASE_POINT_LIMIT} points")
-    if not 0 <= args.order <= PHASE_ORDER_LIMIT:
-        raise ValueError(f"--order must be in [0, {PHASE_ORDER_LIMIT}]")
+    # checked here, as the grid loop turns a point's ValueError into NaN
+    _check_int("--order", args.order, 0, ORDER_LIMIT)
     res = _grid(args.re_min, args.re_max, args.nx)
     ims = _grid(args.im_min, args.im_max, args.ny)
     alpha = complex(args.alpha)

@@ -32,6 +32,7 @@ from .errors import NonConvergenceError
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_KMAX",
+    "ORDER_LIMIT",
     "HypTerm2F0",
     "TransformResult",
     "drummond_2f0",
@@ -45,6 +46,8 @@ Scalar = Union[float, complex]
 DEFAULT_TOL = 10.0 * sys.float_info.epsilon
 #: Order cap; convergence typically needs a few tens of orders.
 DEFAULT_KMAX = 500
+#: Largest k_max and fixed order; a call's cached table has at most 4,999 rows.
+ORDER_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,14 @@ class HypTerm2F0:
     z: complex
 
     def terms(self, count: int) -> list[Scalar]:
-        """[a_0, ..., a_{count-1}]."""
+        """[a_0, ..., a_{count-1}]; [] for count 0."""
+        _check_int("count", count, 0)
         out: list[Scalar] = [1.0]
         a: Scalar = 1.0
         for j in range(count - 1):
             a = a * (self.alpha + j) * (self.beta + j) / (-self.z)
             out.append(a)
-        return out
+        return out if count else []
 
     def is_real(self) -> bool:
         return all(complex(p).imag == 0.0 for p in (self.alpha, self.beta, self.z))
@@ -168,8 +172,12 @@ def _underflow_error(term: HypTerm2F0, n: int) -> ValueError:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol >= sys.float_info.epsilon:
-        raise ValueError(f"tol must be >= machine epsilon, got {tol}")
+    try:
+        ok = tol >= sys.float_info.epsilon
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise ValueError(f"tol must be >= machine epsilon, got {tol!r}")
 
 
 def _check_int(name: str, value, low: int, high: float = math.inf) -> None:
@@ -196,10 +204,10 @@ def drummond_2f0(
     ``k_max`` terms, or where the sum overflows, the partial sum is returned
     with ``converged=False`` and ``est_rel_err=inf``. On hitting ``k_max``
     the best value is returned with ``converged=False``; no exception is
-    raised.
+    raised. ``k_max`` lies in [2, ORDER_LIMIT].
     """
     _check_tol(tol)
-    _check_int("k_max", k_max, 2)
+    _check_int("k_max", k_max, 2, ORDER_LIMIT)
     args, m = _kernel_args(term, n, None)
     try:
         value, order, converged, est = _resum(args, m, n, tol, k_max)
@@ -209,8 +217,8 @@ def drummond_2f0(
 
 
 def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
-    """T_n^(order) with no early exit; NaN where the approximant has a pole."""
-    _check_int("order", order, 0)
+    """T_n^(order), order <= ORDER_LIMIT, with no early exit; NaN at a pole."""
+    _check_int("order", order, 0, ORDER_LIMIT)
     args, m = _kernel_args(term, n, order)
     if m is not None:
         # the terminal partial sum s_m is the kernel's prelude alone
@@ -262,13 +270,15 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     back as 0 or a subnormal, accurate only in absolute terms, with
     ``converged`` set and the estimate of the resummation. Raises
     ValueError naming x where x is so small that z = x^2/4 underflows to 0
-    or x^(mu-1) overflows.
+    or x^(mu-1) overflows, or where z is not finite.
     """
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
     _check_tol(tol)
     if 0.25 * x * x == 0.0:
         raise _tiny_argument_error(x)
+    if not 0.25 * x * x < math.inf:
+        raise ValueError(f"z must be finite, got x^2/4 at x={x!r}")
     res = _lommel(mu, nu, x, min(tol, DEFAULT_TOL))
     if not res.converged:
         raise NonConvergenceError(

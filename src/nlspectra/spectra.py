@@ -104,12 +104,18 @@ class KernelParams:
 
     def __post_init__(self):
         _check_int("d", self.d, 1, 10)
-        if not (0.0 <= self.alpha < self.d + 2):
-            raise ValueError(
-                f"alpha must be in [0, d+2) = [0, {self.d + 2}), got {self.alpha}"
-            )
-        if not (0.0 < self.delta < math.inf):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        try:
+            ok = 0.0 <= self.alpha < self.d + 2
+        except TypeError:  # not a real number
+            ok = False
+        if not ok:
+            raise ValueError(f"alpha must be in [0, d+2) = [0, {self.d + 2}), got {self.alpha!r}")
+        try:
+            ok = 0.0 < self.delta < math.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +152,12 @@ def _check_params(params: KernelParams) -> None:
 
 def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
     _check_params(params)
-    if not 0.0 <= k_mod < math.inf:
-        raise ValueError(f"k_mod must be finite and >= 0, got {k_mod}")
+    try:
+        ok = 0.0 <= k_mod < math.inf
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise ValueError(f"k_mod must be finite and >= 0, got {k_mod!r}")
     _check_tol(tol)
 
 

@@ -457,7 +457,7 @@ class TestPhase:
 
     def test_order_guard_exits_2(self, tmp_path):
         out = tmp_path / "p.csv"
-        for order, nx in (("100000", "2"), ("10", "0")):
+        for order, nx in (("100000", "2"), ("5001", "2"), ("10", "0")):
             assert (
                 run("phase", "--alpha", "1", "--beta", "1", "--order", order,
                     "--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1",

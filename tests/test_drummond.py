@@ -11,6 +11,7 @@ from nlspectra import KernelParams, NonConvergenceError, _purepy, lambda_asympto
 from nlspectra.drummond import (
     DEFAULT_KMAX,
     DEFAULT_TOL,
+    ORDER_LIMIT,
     HypTerm2F0,
     drummond_2f0,
     drummond_2f0_at_order,
@@ -29,6 +30,16 @@ def rel(got, ref):
     if ref == 0:
         return abs(complex(got) - ref)
     return abs((complex(got) - ref) / ref)
+
+
+class TestHypTerm2F0:
+    def test_terms_count(self):
+        term = HypTerm2F0(1.0, 2.0, 4.0)
+        assert term.terms(0) == []
+        assert term.terms(1) == [1.0]
+        assert term.terms(3) == [1.0, -0.5, 0.75]
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            term.terms(-1)
 
 
 class TestDrummondGeneric:
@@ -188,6 +199,18 @@ class TestDrummond2F0:
                 call()
             assert cause in str(info.value)
 
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("k_max", lambda term: drummond_2f0(term, k_max=ORDER_LIMIT + 1)),
+            ("order", lambda term: drummond_2f0_at_order(term, 0, ORDER_LIMIT + 1)),
+        ],
+    )
+    def test_orders_beyond_the_limit_rejected(self, name, call):
+        message = rf"{name} must be in \[\d, {ORDER_LIMIT}\], got {ORDER_LIMIT + 1}"
+        with pytest.raises(ValueError, match=message):
+            call(HypTerm2F0(1.0, 1.0, 8.0))
+
     def test_nonconvergence_flagged_not_raised(self):
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged
@@ -315,15 +338,6 @@ class TestCoefficientTables:
         assert cold_tables.cache_info().currsize == 1
         assert cold_tables(1.0, 1.0, 0, 500) is entry
 
-    def test_call_beyond_the_cap_keeps_no_table(self, cold_tables, monkeypatch):
-        case = (1.0, 0.25, 0, 4.5)
-        order = _purepy._TABLE_ORDERS + 10
-        beyond = repr((_fixed(case, 4.5, order), _early(case, 4.5, order)))
-        assert cold_tables.cache_info().currsize == 0
-        monkeypatch.setattr(_purepy, "_TABLE_ORDERS", order + 1)
-        assert repr((_fixed(case, 4.5, order), _early(case, 4.5, order))) == beyond
-        assert cold_tables.cache_info().currsize == 1
-
     def test_threads_sharing_a_table_give_the_serial_bits(self, cold_tables):
         # four threads build one table from cold at once, 40 times over
         case = (1.0, 0.25, 0)
@@ -394,8 +408,10 @@ class TestRescaleSchedule:
     nothing leaves the normal doubles, so no schedule may change a bit."""
 
     # (alpha, beta, n, z, order): N and D pass 2^512 and are rescaled down
-    # 3 and 7 times
-    RESCALING = [(1.0, 1.0, 0, 1e5, 1000), (2.5, 0.5, 0, 1e8, 300)]
+    # 3 and 7 times. The third is rescaled both down and up, and needs the
+    # backward (shrinkage) half of the bounds: forward growth alone allows
+    # an interval of 499 where it is 12, and the call comes back NaN
+    RESCALING = [(1.0, 1.0, 0, 1e5, 1000), (2.5, 0.5, 0, 1e8, 300), (1e6, 1e6, 0, -1e12, 200)]
 
     @staticmethod
     def outcomes(cases):
@@ -422,15 +438,23 @@ class TestRescaleSchedule:
 
     def test_rescaling_calls_keep_their_bits(self, monkeypatch):
         assert all(1 < self.interval(case) < 100 for case in self.RESCALING)
-        scheduled = self.outcomes(self.RESCALING)
-        with monkeypatch.context() as m:
-            m.setattr(_purepy, "_TABLE_ORDERS", 0)  # rows from the generator
-            assert self.outcomes(self.RESCALING) == scheduled
         self.assert_same_bits_as_every_order(self.RESCALING, monkeypatch)
         monkeypatch.setattr(_purepy, "_RESCALE_THRESHOLD", math.inf)
         monkeypatch.setattr(_purepy, "_RESCALE_TINY", 0.0)
         for case in self.RESCALING:
             assert math.isnan(_fixed(case, case[3], case[4])), case
+
+    def test_call_at_the_order_limit_reads_one_table(self, cold_tables, monkeypatch):
+        # the largest order any entry point accepts: a rescaling call and
+        # an early-exit call that runs to the end share one whole table
+        term = HypTerm2F0(1.0, 1.0, 0.01)
+        assert not drummond_2f0(term, k_max=ORDER_LIMIT).converged
+        assert math.isfinite(drummond_2f0_at_order(term, 0, ORDER_LIMIT))
+        cases = [(1.0, 1.0, 0, 0.01, ORDER_LIMIT), (1.0, 1.0, 0, complex(-3e5, 4e5), ORDER_LIMIT)]
+        self.assert_same_bits_as_every_order(cases, monkeypatch)
+        assert cold_tables.cache_info().currsize == 1
+        rows = cold_tables(1.0, 1.0, 0, ORDER_LIMIT)[0]
+        assert [row[0] for row in rows] == list(range(1, ORDER_LIMIT))
 
     def test_table_cases_keep_their_bits(self, monkeypatch):
         # the fixed order 1000 at complex z is the phase command's call: a

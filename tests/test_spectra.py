@@ -22,6 +22,7 @@ from nlspectra import (
     spectra,
 )
 from nlspectra._backend import kernels
+from nlspectra.drummond import lommel_s
 from nlspectra.oracle import (
     oracle_asy_part_a,
     oracle_closed_form_d1_a0,
@@ -81,6 +82,27 @@ class TestKernelParams:
         Params = namedtuple("Params", "d alpha delta")
         with pytest.raises(ValueError, match=r"params must be KernelParams, got <class "):
             call(Params(3, 2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: KernelParams(3, "1", 1.0), "alpha must be in [0, d+2) = [0, 5), got '1'"),
+            (lambda: KernelParams(3, 1.0, None), "delta must be positive and finite, got None"),
+            (lambda: lambda_hybrid(KernelParams(3, 1.0, 1.0), "1"),
+             "k_mod must be finite and >= 0, got '1'"),
+            (lambda: lambda_hybrid(KernelParams(3, 1.0, 1.0), 1j),
+             "k_mod must be finite and >= 0, got 1j"),
+            (lambda: lambda_hybrid(KernelParams(3, 1.0, 1.0), 1.0, None),
+             "tol must be >= machine epsilon, got None"),
+            (lambda: lommel_s(1.0, 1.0, math.inf), "z must be finite, got x^2/4 at x=inf"),
+        ],
+        ids=["alpha-str", "delta-none", "k-str", "k-complex", "tol-none", "lommel-x-inf"],
+    )
+    def test_argument_errors_name_the_argument(self, call, message):
+        # a value that does not compare with floats is a ValueError, not a
+        # bare TypeError from the comparison
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestStablePrefactor:
