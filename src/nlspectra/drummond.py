@@ -119,7 +119,9 @@ def _kernel_args(
     index of ``_terminal_index``.
     """
     _check_int("n", n, 0)
-    alpha, beta, z = complex(term.alpha), complex(term.beta), complex(term.z)
+    alpha = _number("alpha", term.alpha, complex)
+    beta = _number("beta", term.beta, complex)
+    z = _number("z", term.z, complex)
     m = _terminal_index(alpha, beta, z, n, order, (term.alpha, term.beta, term.z))
     if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
         return (alpha.real, beta.real, z.real), m
@@ -178,6 +180,19 @@ def _check_tol(tol: float) -> None:
         ok = False
     if not ok:
         raise ValueError(f"tol must be >= machine epsilon, got {tol!r}")
+
+
+def _number(name: str, value, kind):
+    """kind(value), ``kind`` being float or complex, or a ValueError naming
+    the argument where that is not a number: a string, which kind() would
+    parse, included."""
+    if not isinstance(value, str):
+        try:
+            return kind(value)
+        except TypeError:
+            pass
+    what = "a real number" if kind is float else "a number"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _check_int(name: str, value, low: int, high: float = math.inf) -> None:
@@ -270,8 +285,10 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     back as 0 or a subnormal, accurate only in absolute terms, with
     ``converged`` set and the estimate of the resummation. Raises
     ValueError naming x where x is so small that z = x^2/4 underflows to 0
-    or x^(mu-1) overflows, or where z is not finite.
+    or x^(mu-1) overflows, or where z is not finite, and naming mu, nu or x
+    where it is not a real number.
     """
+    mu, nu, x = _number("mu", mu, float), _number("nu", nu, float), _number("x", x, float)
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
     _check_tol(tol)

@@ -16,11 +16,11 @@ cancellation: backwards, by Horner's rule in (k*delta)^2 / 2 over its
 coefficients, exact products of the term ratios of (d, alpha), scaled to
 integers and kept in a table per (d, alpha) and working precision, with the
 number of terms chosen before the pass from the logarithms of those
-coefficients and checked after it against the sum. ``lambda_hybrid`` switches to the
-asymptotic form at k*delta = 28, where that becomes the cheaper of the two;
-both are accurate to near machine precision there. Every eigenvalue
-evaluation is independent of all others, so lattice sweeps parallelize
-trivially.
+coefficients and checked after it against the sum. ``lambda_hybrid``
+switches to the asymptotic form at k*delta = 40: below it the series is
+the cheaper of the two for every alpha > 0, and the more accurate; both
+are accurate to near machine precision there. Every eigenvalue evaluation
+is independent of all others, so lattice sweeps parallelize trivially.
 """
 
 from __future__ import annotations
@@ -51,11 +51,14 @@ __all__ = [
     "apply_to_fourier_coeffs",
 ]
 
-#: Dimensionless switch point between the two evaluation routes, where the
-#: fixed-point series and the asymptotic route cost about the same for
-#: d = 1, 3 and 5 (from 26 to 29; for d = 2 and 10 the series stays the
-#: cheaper beyond 40).
-HYBRID_SWITCH = 28.0
+#: Dimensionless switch point between the two evaluation routes. Per call
+#: (d 1..10, delta = 1, warm tables; two runs), the series costs 0.48-0.75
+#: of the asymptotic route in [28, 32) and 0.62-0.91 in [36, 40) at
+#: alpha = (d+2)/2 and 0.97 (d+2), and is the more accurate; from 40 on it
+#: reaches 1 for some (d, alpha). At alpha = 0 both Lommel sums terminate,
+#: so the asymptotic route is cheap and the series costs 0.76-1.19 of it in
+#: [28, 40): the price of one switch for every (d, alpha).
+HYBRID_SWITCH = 40.0
 
 #: Largest k*delta the series is summed at, the route's only limit. It
 #: needs about 1.4 k*delta terms there (at most 2,729 at 2,000 and tol = eps,
@@ -498,8 +501,9 @@ def apply_to_fourier_coeffs(
     summed from it. A key that is a plain tuple of d exact ints is checked
     once per distinct coordinate and is its own output key; any other key
     is checked and converted to an int tuple, which is the output key.
-    Output is in the order of ``coeffs``; an invalid wavevector raises
-    ValueError when the pass reaches it.
+    Output is in the order of ``coeffs``; an invalid wavevector, or an item
+    of ``coeffs.items()`` that is not a pair, raises ValueError when the
+    pass reaches it.
     """
     _check_params(params)
     _check_tol(tol)
@@ -515,25 +519,39 @@ def apply_to_fourier_coeffs(
     squares: dict[int, int] = {}
     square = squares.__getitem__
     out: dict[tuple[int, ...], complex] = {}
-    for kvec, amp in items():
-        # the memo is looked up with exact ints only: a float or bool entry
-        # would hit it for the int it equals and stay in the output key
-        if type(kvec) is not tuple or len(kvec) != d or not only_ints(map(type, kvec)):
-            kvec = _wavevector(kvec, d)
-        try:
-            m = sum(map(square, kvec))
-        except KeyError:  # a coordinate not checked yet in this call
-            _wavevector(kvec, d)  # for its |k|_inf check
-            for c in kvec:
-                squares[c] = c * c
-            m = sum(map(square, kvec))
-        lam = cache.get(m)
-        if lam is None:
-            lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
-        try:
-            out[kvec] = amp * lam
-        except TypeError:
-            raise ValueError(
-                f"amplitude {amp!r} of wavevector {kvec!r} is not a number"
-            ) from None
+    try:
+        for kvec, amp in items():
+            # the memo is looked up with exact ints only: a float or bool entry
+            # would hit it for the int it equals and stay in the output key
+            if type(kvec) is not tuple or len(kvec) != d or not only_ints(map(type, kvec)):
+                kvec = _wavevector(kvec, d)
+            try:
+                m = sum(map(square, kvec))
+            except KeyError:  # a coordinate not checked yet in this call
+                _wavevector(kvec, d)  # for its |k|_inf check
+                for c in kvec:
+                    squares[c] = c * c
+                m = sum(map(square, kvec))
+            lam = cache.get(m)
+            if lam is None:
+                lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
+            try:
+                out[kvec] = amp * lam
+            except TypeError:
+                raise ValueError(
+                    f"amplitude {amp!r} of wavevector {kvec!r} is not a number"
+                ) from None
+    except (TypeError, ValueError) as exc:
+        # only an item that does not unpack into a pair fails in this frame
+        # itself: every other error of the loop is raised by a call, or is
+        # the amplitude's, raised from None
+        if exc.__traceback__.tb_next is None and not exc.__suppress_context__:
+            for item in items():  # name the first item that is not a pair
+                try:
+                    _, _ = item
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"coeffs.items() yielded {item!r}, not a (wavevector, amplitude) pair"
+                    ) from None
+        raise
     return out

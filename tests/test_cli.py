@@ -43,7 +43,7 @@ class TestEval:
         assert fields[5] == "0" and fields[6] == "zero"
 
     def test_closed_form_value(self, capsys):
-        # one k*delta on each side of the route switch at 28
+        # one k*delta on each side of the route switch at 40
         for k, method in (("10", "maclaurin"), ("40", "asymptotic")):
             assert run("eval", "--d", "1", "--alpha", "0", "--delta", "1", "--k", k) == 0
             fields = capsys.readouterr().out.strip().split(",")

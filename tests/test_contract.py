@@ -11,6 +11,9 @@ from a generator of their own so that the draws above stay as they are,
 take k*delta uniform within 1 of ``HYBRID_SWITCH``, where the route
 changes, and log-uniform in [1e-320, 1e-2], where
 lambda = -k^2 (1 - O((k*delta)^2)) may fall below the normal doubles.
+A third generator draws k*delta uniform in [28, ``HYBRID_SWITCH``), the
+band the series took over from the asymptotic route when the switch moved
+up from 28.
 Beyond k*delta = 200 the gamma-ratio part and the two
 Lommel factors of the asymptotic form are checked against their own
 oracles; there a typed error of ``lambda_hybrid`` is allowed.
@@ -33,6 +36,7 @@ TINY = sys.float_info.min
 SEED = 20181
 CASES = 2000
 EXTRA_CASES = 400
+MOVED_CASES = 150
 HUGE_CASES = 40
 ALPHA_STRATA = ("zero", "d", "below_d_plus_2", "tiny", "uniform")
 TOLS = (10 * EPS, 1e-12, 1e-8)
@@ -62,6 +66,10 @@ def _draw_extra_kdelta(rng, i):
     return 10.0 ** rng.uniform(-320, -2)
 
 
+def _draw_moved_kdelta(rng, i):
+    return rng.uniform(28.0, HYBRID_SWITCH)
+
+
 def _draw_case(rng, i, draw_kdelta):
     d = rng.randint(1, 10)
     alpha = _draw_alpha(rng, ALPHA_STRATA[i % len(ALPHA_STRATA)], d)
@@ -83,8 +91,10 @@ def test_hybrid_within_its_estimate_of_the_series_oracle():
     # each case at every tol in TOLS, against one oracle value
     rng = random.Random(SEED)
     extra = random.Random(SEED + 2)
+    moved = random.Random(SEED + 3)
     cases = [_draw_case(rng, i, _draw_kdelta) for i in range(CASES)]
     cases += [_draw_case(extra, i, _draw_extra_kdelta) for i in range(EXTRA_CASES)]
+    cases += [_draw_case(moved, i, _draw_moved_kdelta) for i in range(MOVED_CASES)]
     failures = []
     for params, k in cases:
         results = []

@@ -211,6 +211,15 @@ class TestDrummond2F0:
         with pytest.raises(ValueError, match=message):
             call(HypTerm2F0(1.0, 1.0, 8.0))
 
+    @pytest.mark.parametrize("value", ["1", None])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "z"])
+    def test_parameters_that_are_not_numbers_rejected_by_name(self, name, value):
+        # complex() would parse the string as 1
+        term = HypTerm2F0(**{"alpha": 1.0, "beta": 1.0, "z": 2.0, name: value})
+        for call in (lambda: drummond_2f0(term), lambda: drummond_2f0_at_order(term, 0, 3)):
+            with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
+                call()
+
     def test_nonconvergence_flagged_not_raised(self):
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged
@@ -636,6 +645,15 @@ class TestLommel:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lommel_s(-0.5, 0.5, -1.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((1.0, 1.0, "2"), "x"), (("1", 1.0, 2.0), "mu"), ((None, 1.0, 2.0), "mu"),
+         ((1.0, 1j, 2.0), "nu")],
+    )
+    def test_arguments_that_are_not_real_numbers_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got "):
+            lommel_s(*args)
 
     @pytest.mark.parametrize("x", [1e-150, 1e-170, 5e-324])
     def test_tiny_argument_named(self, x):

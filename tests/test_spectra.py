@@ -661,9 +661,9 @@ class TestLambdaHybrid:
 
     def test_dispatch_at_switch(self):
         params = KernelParams(3, 2.0, 1.0)
-        assert HYBRID_SWITCH == 28.0
-        assert lambda_hybrid(params, 28.0).method == "asymptotic"
-        assert lambda_hybrid(params, math.nextafter(28.0, 0.0)).method == "maclaurin"
+        assert HYBRID_SWITCH == 40.0
+        assert lambda_hybrid(params, 40.0).method == "asymptotic"
+        assert lambda_hybrid(params, math.nextafter(40.0, 0.0)).method == "maclaurin"
 
     def test_no_jump_across_switch(self):
         params = KernelParams(3, 2.0, 1.0)
@@ -701,7 +701,7 @@ class TestLambdaHybrid:
     def test_tol_is_honoured_on_a_lattice(self):
         # every 50th squared norm of the d=3, kmax=64 lattice, both routes
         # and both ways of summing the series
-        params = KernelParams(3, 2.0, 0.5)
+        params = KernelParams(3, 2.0, 0.75)
         ms = achievable_squared_norms(3, 64)[1::50]
         assert sum(math.sqrt(m) * params.delta >= HYBRID_SWITCH for m in ms) >= 100
         assert sum(6.0 < math.sqrt(m) * params.delta < HYBRID_SWITCH for m in ms) >= 30
@@ -993,6 +993,23 @@ class TestApplyToFourierCoeffs:
             ValueError, match=r"amplitude .* of wavevector \(1, 0\) is not a number"
         ):
             apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), {(0, 1): 1.0, (1, 0): amp})
+
+    @pytest.mark.parametrize("item", [((1, 0),), ((1, 0), 1.0, 2.0), 5])
+    def test_item_that_is_not_a_pair_rejected(self, item):
+        class Items:
+            def __init__(self, first):
+                self.first = first
+
+            def items(self):
+                return iter([self.first, item])
+
+        params = KernelParams(2, 1.0, 0.5)
+        message = re.escape(f"coeffs.items() yielded {item!r}, not a (wavevector, amplitude) pair")
+        with pytest.raises(ValueError, match=message):
+            apply_to_fourier_coeffs(params, Items(((0, 1), 1.0)))
+        # an invalid wavevector reached first is named, not the item after it
+        with pytest.raises(ValueError, match="non-integral entry"):
+            apply_to_fourier_coeffs(params, Items(((0.5, 1), 1.0)))
 
     def test_duck_typed_mapping_accepted(self):
         class Pairs:
