@@ -23,8 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from ._backend import kernels as _k
 from .errors import NonConvergenceError
@@ -40,7 +39,7 @@ __all__ = [
     "lommel_s",
 ]
 
-Scalar = Union[float, complex]
+Scalar = float | complex
 
 #: Stopping tolerance 10 * machine epsilon.
 DEFAULT_TOL = 10.0 * sys.float_info.epsilon
@@ -50,13 +49,26 @@ DEFAULT_KMAX = 500
 ORDER_LIMIT = 5000
 
 
-@dataclass(frozen=True)
-class HypTerm2F0:
-    """Term family a_k = (alpha)_k (beta)_k / (-z)^k."""
+class _Record:
+    """Mixin of the package's records, immutable named tuples: a record
+    equals only a record of its own type, so a plain tuple of the same
+    values compares unequal to it, either way round."""
 
-    alpha: complex
-    beta: complex
-    z: complex
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+class HypTerm2F0(_Record, namedtuple("HypTerm2F0", "alpha beta z")):
+    """Term family a_k = (alpha)_k (beta)_k / (-z)^k; alpha, beta and z are
+    real or complex."""
+
+    __slots__ = ()
 
     def terms(self, count: int) -> list[Scalar]:
         """[a_0, ..., a_{count-1}]; [] for count 0."""
@@ -72,14 +84,10 @@ class HypTerm2F0:
         return all(complex(p).imag == 0.0 for p in (self.alpha, self.beta, self.z))
 
 
-@dataclass
-class TransformResult:
+class TransformResult(_Record, namedtuple("TransformResult", "value order converged est_rel_err")):
     """Outcome of a resummation."""
 
-    value: Scalar
-    order: int
-    converged: bool
-    est_rel_err: float
+    __slots__ = ()
 
 
 def _terminal_index(alpha, beta, z, n: int, order: int | None, shown) -> int | None:
@@ -184,13 +192,15 @@ def _check_tol(tol: float) -> None:
 
 def _number(name: str, value, kind):
     """kind(value), ``kind`` being float or complex, or a ValueError naming
-    the argument where that is not a number: a string, which kind() would
-    parse, included."""
+    the argument where that is not a number (a string, which kind() would
+    parse, included) or lies beyond the double range."""
     if not isinstance(value, str):
         try:
             return kind(value)
         except TypeError:
             pass
+        except OverflowError:  # an int beyond the double range
+            raise ValueError(f"{name} must lie within the double range, got {value!r}") from None
     what = "a real number" if kind is float else "a number"
     raise ValueError(f"{name} must be {what}, got {value!r}")
 

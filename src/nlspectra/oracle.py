@@ -21,8 +21,8 @@ precision that widens with the requested order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 from mpmath import mp

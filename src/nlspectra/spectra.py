@@ -30,11 +30,11 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_TOL, _check_int, _check_tol, _lommel
+from .drummond import DEFAULT_TOL, _check_int, _check_tol, _lommel, _Record
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -88,61 +88,59 @@ _EPS = sys.float_info.epsilon
 _LOG2 = math.log(2.0)
 #: Smallest normal double.
 _TINY = 2.2250738585072014e-308
+#: Largest finite double; an int above it leaves the double range.
+_HUGE = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(_Record, namedtuple("KernelParams", "d alpha delta")):
     """Kernel family: dimension d, singularity strength alpha, horizon delta.
 
     The kernel is normalized so the operator converges to the Laplacian as
     delta -> 0; admissibility requires 0 <= alpha < d+2. The cap d <= 10 is
     the one guard that keeps the kernels inside the ranges the tests verify:
     Bessel J at orders d/2 - 1 and d/2 - 2, within -3/2..4, and gamma at d/2
-    and d/2 + 1.
+    and d/2 + 1. ``_replace`` validates as the constructor does.
     """
 
-    d: int
-    alpha: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_int("d", self.d, 1, 10)
+    def __new__(cls, d: int, alpha: float, delta: float):
+        _check_int("d", d, 1, 10)
         try:
-            ok = 0.0 <= self.alpha < self.d + 2
+            ok = 0.0 <= alpha < d + 2
         except TypeError:  # not a real number
             ok = False
         if not ok:
-            raise ValueError(f"alpha must be in [0, d+2) = [0, {self.d + 2}), got {self.alpha!r}")
+            raise ValueError(f"alpha must be in [0, d+2) = [0, {d + 2}), got {alpha!r}")
         try:
-            ok = 0.0 < self.delta < math.inf
+            ok = 0.0 < delta <= _HUGE
         except TypeError:
             ok = False
         if not ok:
-            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+            raise ValueError(f"delta must be positive and finite, got {delta!r}")
+        return tuple.__new__(cls, (d, alpha, delta))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """One eigenvalue: value, which route produced it, and its cost/accuracy."""
+class EvalResult(_Record, namedtuple("EvalResult", "lam method terms est_rel_err")):
+    """One eigenvalue: value, which route produced it ("maclaurin",
+    "asymptotic" or "zero"), and its cost/accuracy."""
 
-    lam: float
-    method: str  # "maclaurin" | "asymptotic" | "zero"
-    terms: int
-    est_rel_err: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(_Record, namedtuple("SpectrumTable", "params kmax entries")):
     """Eigenvalues over all achievable squared norms of a lattice block.
 
-    ``entries`` maps each m = |k|^2 to its eigenvalue, in ascending m. Two
+    ``entries`` maps each m = |k|^2 to its EvalResult, in ascending m. Two
     tables are equal when their parameters, kmax and entries are; a table is
     not hashable.
     """
 
-    params: KernelParams
-    kmax: int
-    entries: dict[int, EvalResult]
+    __slots__ = ()
 
 
 _ZERO_RESULT = EvalResult(0.0, "zero", 0, 0.0)
@@ -156,7 +154,7 @@ def _check_params(params: KernelParams) -> None:
 def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
     _check_params(params)
     try:
-        ok = 0.0 <= k_mod < math.inf
+        ok = 0.0 <= k_mod <= _HUGE
     except TypeError:  # not a real number
         ok = False
     if not ok:

@@ -507,20 +507,24 @@ class TestWriteRows:
 
 
 def test_cli_import_loads_no_oracle_or_pool():
-    # mpmath (the oracles) and the process pool load only when a command needs them
+    # mpmath (the oracles) and the process pool load only when a command needs
+    # them, json only for --format json; the records are named tuples, which
+    # need neither dataclasses nor the inspect module it loads
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = (
-        "import sys\n"
-        "import nlspectra.cli\n"
-        "heavy = ('mpmath', 'concurrent.futures.process', 'multiprocessing')\n"
-        "print(','.join(m for m in heavy if m in sys.modules))\n"
-    )
     path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == ""
+    for module in ("nlspectra.cli", "nlspectra"):
+        code = (
+            "import sys\n"
+            f"import {module}\n"
+            "heavy = ('mpmath', 'concurrent.futures.process', 'multiprocessing',\n"
+            "         'dataclasses', 'inspect', 'json')\n"
+            "print(','.join(m for m in heavy if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "", module
 
 
 def test_spectrum_without_jobs_starts_no_pool(tmp_path):

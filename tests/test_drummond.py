@@ -220,6 +220,15 @@ class TestDrummond2F0:
             with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
                 call()
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "z"])
+    def test_parameters_beyond_the_double_range_rejected_by_name(self, name):
+        # complex() would raise a bare OverflowError
+        term = HypTerm2F0(**{"alpha": 1.0, "beta": 1.0, "z": 2.0, name: 10**400})
+        message = f"{name} must lie within the double range, got {10**400}"
+        for call in (lambda: drummond_2f0(term), lambda: drummond_2f0_at_order(term, 0, 3)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_nonconvergence_flagged_not_raised(self):
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import re
 import time
@@ -11,8 +12,10 @@ import pytest
 from mpmath import mp
 
 from nlspectra import (
+    EvalResult,
     KernelParams,
     NonConvergenceError,
+    SpectrumTable,
     _purepy,
     apply_to_fourier_coeffs,
     lambda_asymptotic,
@@ -22,7 +25,7 @@ from nlspectra import (
     spectra,
 )
 from nlspectra._backend import kernels
-from nlspectra.drummond import lommel_s
+from nlspectra.drummond import HypTerm2F0, TransformResult, lommel_s
 from nlspectra.oracle import (
     oracle_asy_part_a,
     oracle_closed_form_d1_a0,
@@ -37,6 +40,21 @@ from nlspectra.spectra import (
 )
 
 EPS = 2.220446049250313e-16
+
+_PARAMS = KernelParams(3, 1.0, 1.0)
+_RESULT = EvalResult(1.0, "maclaurin", 3, 0.5)
+#: Each record with its repr, the one the dataclasses they replace printed.
+RECORDS = [
+    (_PARAMS, "KernelParams(d=3, alpha=1.0, delta=1.0)"),
+    (_RESULT, "EvalResult(lam=1.0, method='maclaurin', terms=3, est_rel_err=0.5)"),
+    (SpectrumTable(_PARAMS, 0, {0: _RESULT}),
+     "SpectrumTable(params=KernelParams(d=3, alpha=1.0, delta=1.0), kmax=0, "
+     "entries={0: EvalResult(lam=1.0, method='maclaurin', terms=3, est_rel_err=0.5)})"),
+    (HypTerm2F0(1.0, 2j, -3.5), "HypTerm2F0(alpha=1.0, beta=2j, z=-3.5)"),
+    (TransformResult(0.5, 12, True, 1e-16),
+     "TransformResult(value=0.5, order=12, converged=True, est_rel_err=1e-16)"),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
 
 
 def rel(got, ref):
@@ -95,14 +113,76 @@ class TestKernelParams:
             (lambda: lambda_hybrid(KernelParams(3, 1.0, 1.0), 1.0, None),
              "tol must be >= machine epsilon, got None"),
             (lambda: lommel_s(1.0, 1.0, math.inf), "z must be finite, got x^2/4 at x=inf"),
+            # ints beyond the double range: a ValueError, not an OverflowError
+            (lambda: KernelParams(3, 1.0, 10**400),
+             f"delta must be positive and finite, got {10**400}"),
+            (lambda: lambda_hybrid(KernelParams(3, 1.0, 1.0), 10**400),
+             f"k_mod must be finite and >= 0, got {10**400}"),
+            (lambda: lommel_s(1.0, 1.0, 10**400),
+             f"x must lie within the double range, got {10**400}"),
         ],
-        ids=["alpha-str", "delta-none", "k-str", "k-complex", "tol-none", "lommel-x-inf"],
+        ids=["alpha-str", "delta-none", "k-str", "k-complex", "tol-none", "lommel-x-inf",
+             "delta-huge-int", "k-huge-int", "lommel-x-huge-int"],
     )
     def test_argument_errors_name_the_argument(self, call, message):
         # a value that does not compare with floats is a ValueError, not a
         # bare TypeError from the comparison
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+class TestRecords:
+    """The records are immutable named tuples that keep the semantics of the
+    frozen dataclasses they replace, but for unpacking like tuples."""
+
+    def test_repr_and_fields(self, record, text):
+        assert repr(record) == text
+        assert type(record)(**record._asdict()) == record
+
+    def test_unequal_to_a_plain_tuple_either_way(self, record, text):
+        plain = tuple(record)
+        assert record != plain and plain != record
+        assert not (record == plain or plain == record)
+        assert record == type(record)(*plain) and not record != type(record)(*plain)
+
+    def test_hash_and_pickle_round_trip(self, record, text):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+        if isinstance(record, SpectrumTable):
+            # its entries are a dict
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(copy) == hash(record) == hash(tuple(record))
+
+    def test_assignment_raises(self, record, text):
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+        assert repr(record) == text
+
+
+class TestRecordConstruction:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: KernelParams(d=3, alpha=1.0, delta=-1.0), lambda: _PARAMS._replace(delta=-1.0),
+         lambda: KernelParams._make((3, 1.0, -1.0))],
+        ids=["keywords", "replace", "make"],
+    )
+    def test_kernel_params_validate_however_built(self, call):
+        message = "delta must be positive and finite, got -1.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_records_of_two_types_unequal_on_the_same_values(self):
+        other = TransformResult(*_RESULT)
+        assert _RESULT != other and other != _RESULT
+
+    def test_records_unpack_like_tuples(self):
+        d, alpha, delta = _PARAMS
+        assert (d, alpha, delta) == (3, 1.0, 1.0)
+        assert _PARAMS._replace(delta=2.0) == KernelParams(3, 1.0, 2.0)
 
 
 class TestStablePrefactor:
@@ -780,14 +860,15 @@ class TestLattice:
 
     @pytest.mark.parametrize(
         "d, alpha, delta, kmax",
-        # k*delta reaches 28 and beyond, so every Bessel regime is crossed
-        [(1, 0.5, 0.6, 60), (2, 3.9, 0.8, 40), (3, 2.0, 2.0, 12), (4, 4.0, 4.0, 6),
+        # k*delta reaches HYBRID_SWITCH and beyond, so both routes are taken
+        [(1, 0.5, 0.7, 60), (2, 3.9, 0.8, 40), (3, 2.0, 2.0, 12), (4, 4.0, 4.0, 6),
          (5, 1.0, 5.0, 5)],
     )
     def test_spectrum_entries_are_single_evaluations(self, d, alpha, delta, kmax):
         params = KernelParams(d, alpha, delta)
         table = lattice_spectrum(params, kmax)
-        assert max(table.entries) * delta * delta >= 28.0**2
+        assert max(table.entries) * delta * delta >= HYBRID_SWITCH**2
+        assert any(res.method == "asymptotic" for res in table.entries.values())
         for m, res in table.entries.items():
             one = lambda_hybrid(params, math.sqrt(m))
             assert (res.lam.hex(), res.method, res.terms, res.est_rel_err.hex()) == (
