@@ -3,7 +3,8 @@ Maclaurin series and the Drummond recurrence.
 
 The only implementation of the numerics; ``drummond`` and ``spectra`` reach
 it through ``nlspectra._backend.kernels``. Functions here assume their
-arguments were already validated by those modules.
+arguments were already validated by those modules. ``gamma`` is the
+standard library's ``math.gamma``, exact at the integers.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import itertools
 import math
 import sys
 
+gamma = math.gamma
+
 # Lanczos representation of Gamma(z+1) with shift g = 607/128 and the
 # 15-coefficient table computed by Godfrey; roughly 1e-15 relative accuracy
-# on the real axis for Re(z) >= -0.5.
+# on the real axis for Re(z) >= -0.5. Only log_gamma_ratio reads it: a
+# difference of math.lgamma values loses all relative accuracy as eps -> 0.
 LANCZOS_G = 4.7421875
 LANCZOS_C = (
     0.99999999999999709182,
@@ -38,7 +42,6 @@ LANCZOS_C = (
 
 EULER_GAMMA = 0.5772156649015328606
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 # Integer-order J comes from the large-argument expansion from this x on.
 _HANKEL_X_MIN = 28.0
@@ -78,25 +81,6 @@ _STOP_MARGIN_BITS = 1.0
 # recently used goes first); ``drummond.ORDER_LIMIT`` bounds k_end, so a
 # table holds at most 4,999 rows.
 _TABLES_KEPT = 8
-
-
-def _lanczos_sum(z):
-    s = LANCZOS_C[0]
-    for i in range(1, 15):
-        s += LANCZOS_C[i] / (z + i)
-    return s
-
-
-def _gamma1p(z):
-    # Gamma(z+1) for z >= -0.5
-    t = z + LANCZOS_G + 0.5
-    return _SQRT2PI * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
-
-
-def gamma(x):
-    if x < 0.5:
-        return _gamma1p(x) / x
-    return _gamma1p(x - 1.0)
 
 
 def log_gamma_ratio(z, eps):

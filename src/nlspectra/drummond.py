@@ -45,7 +45,8 @@ Scalar = float | complex
 DEFAULT_TOL = 10.0 * sys.float_info.epsilon
 #: Order cap; convergence typically needs a few tens of orders.
 DEFAULT_KMAX = 500
-#: Largest k_max and fixed order; a call's cached table has at most 4,999 rows.
+#: Largest k_max, fixed order and start index n; a call's cached table has at
+#: most 4,999 rows.
 ORDER_LIMIT = 5000
 
 
@@ -119,14 +120,14 @@ def _terminal_index(alpha, beta, z, n: int, order: int | None, shown) -> int | N
 def _kernel_args(
     term: HypTerm2F0, n: int, order: int | None
 ) -> tuple[tuple[Scalar, Scalar, Scalar], int | None]:
-    """Validate (term, n), coerce the kernel arguments and screen for
-    termination.
+    """Validate (term, n), n in [0, ORDER_LIMIT], coerce the kernel
+    arguments and screen for termination.
 
     Returns (args, m). ``args`` is (alpha, beta, z), all float when the
     parameters are real and all complex when not; ``m`` is the terminal
     index of ``_terminal_index``.
     """
-    _check_int("n", n, 0)
+    _check_int("n", n, 0, ORDER_LIMIT)
     alpha = _number("alpha", term.alpha, complex)
     beta = _number("beta", term.beta, complex)
     z = _number("z", term.z, complex)
@@ -145,7 +146,7 @@ def _resum(
     A terminal sum takes at most k_max terms; a cut-off or non-finite one is
     returned as it stands, with converged=False and est_rel_err=inf. A
     complete one estimates the rounding of its additions, eps sum|a_j| / |s|
-    (inf where s = 0).
+    with the sum correctly rounded (inf where s = 0).
     """
     if m is None:
         return _k.drummond_2f0(*args, n, tol, k_max)
@@ -154,7 +155,8 @@ def _resum(
     if terms == m + 1 and cmath.isfinite(value):
         if not value:
             return value, terms, True, math.inf
-        total = sum(map(abs, HypTerm2F0(*args).terms(terms)))
+        # fsum, not sum, which compensates from Python 3.12 on only
+        total = math.fsum(map(abs, HypTerm2F0(*args).terms(terms)))
         return value, terms, True, sys.float_info.epsilon * total / abs(value)
     return value, terms, False, math.inf
 
@@ -229,7 +231,7 @@ def drummond_2f0(
     ``k_max`` terms, or where the sum overflows, the partial sum is returned
     with ``converged=False`` and ``est_rel_err=inf``. On hitting ``k_max``
     the best value is returned with ``converged=False``; no exception is
-    raised. ``k_max`` lies in [2, ORDER_LIMIT].
+    raised. ``k_max`` lies in [2, ORDER_LIMIT] and ``n`` in [0, ORDER_LIMIT].
     """
     _check_tol(tol)
     _check_int("k_max", k_max, 2, ORDER_LIMIT)
@@ -242,7 +244,8 @@ def drummond_2f0(
 
 
 def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
-    """T_n^(order), order <= ORDER_LIMIT, with no early exit; NaN at a pole."""
+    """T_n^(order), n and order in [0, ORDER_LIMIT], with no early exit; NaN
+    at a pole."""
     _check_int("order", order, 0, ORDER_LIMIT)
     args, m = _kernel_args(term, n, order)
     if m is not None:

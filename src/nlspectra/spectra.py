@@ -68,6 +68,8 @@ HYBRID_SWITCH = 40.0
 MACLAURIN_KDELTA_MAX = 2000.0
 
 LATTICE_KMAX_LIMIT = 4096
+#: Largest dimension d, of ``KernelParams`` and of ``achievable_squared_norms``.
+D_MAX = 10
 
 #: Below this k*delta a direct ``lambda_asymptotic`` call returns its value
 #: with ``est_rel_err`` = inf: there its Lommel factors err far above their
@@ -96,16 +98,16 @@ class KernelParams(_Record, namedtuple("KernelParams", "d alpha delta")):
     """Kernel family: dimension d, singularity strength alpha, horizon delta.
 
     The kernel is normalized so the operator converges to the Laplacian as
-    delta -> 0; admissibility requires 0 <= alpha < d+2. The cap d <= 10 is
-    the one guard that keeps the kernels inside the ranges the tests verify:
-    Bessel J at orders d/2 - 1 and d/2 - 2, within -3/2..4, and gamma at d/2
-    and d/2 + 1. ``_replace`` validates as the constructor does.
+    delta -> 0; admissibility requires 0 <= alpha < d+2. The cap
+    d <= D_MAX = 10 keeps Bessel J inside the orders the tests verify:
+    d/2 - 1 and d/2 - 2, within -3/2..4. ``_replace`` validates as the
+    constructor does.
     """
 
     __slots__ = ()
 
     def __new__(cls, d: int, alpha: float, delta: float):
-        _check_int("d", d, 1, 10)
+        _check_int("d", d, 1, D_MAX)
         try:
             ok = 0.0 <= alpha < d + 2
         except TypeError:  # not a real number
@@ -205,13 +207,6 @@ def lambda_maclaurin(
     return result
 
 
-@functools.lru_cache(maxsize=32)
-def _asy_constants(d: int, alpha: float) -> tuple[float, float]:
-    """(Gamma(d/2), c) with c = 2 Gamma(d/2+1) (d+2-alpha), the factors of
-    the asymptotic formula that depend on (d, alpha) alone."""
-    return _k.gamma(0.5 * d), 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
-
-
 def _asy_gamma_part(d: int, alpha: float, log_y: float) -> tuple[float, float]:
     """(part_a, t): the gamma-ratio part of the asymptotic formula, stable
     through alpha = d, and the exponent t of its gamma ratio (0 at alpha = 0
@@ -227,7 +222,7 @@ def _asy_gamma_part(d: int, alpha: float, log_y: float) -> tuple[float, float]:
     then about alpha relative to the result, below rounding, and f would
     meet the pole of Gamma(0). At alpha = d, f takes its limit.
     """
-    ghalf = _asy_constants(d, alpha)[0]
+    ghalf = _k.gamma(0.5 * d)
     if 0.5 * (d - alpha) == 0.5 * d:
         return -2.0 / (d * ghalf), 0.0
     f, t = _k.stable_prefactor(0.5 * (d - alpha), log_y, 0.5 * d)
@@ -339,7 +334,7 @@ def lambda_asymptotic(
             raise _intermediate_beyond_double_range(d, alpha, kd) from None
         lam, est = _huge_gamma_part_in_logs(d, alpha, delta, log_y, kd)
         return _asymptotic_result(lam, 0, est)
-    c = _asy_constants(d, alpha)[1]
+    c = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
     if kd >= ASYMPTOTIC_TAIL_CUTOFF:
         # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
         log_kd = math.log(kd) if kd < math.inf else _LOG2 - log_y
@@ -405,10 +400,11 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
 
     Computed coordinate by coordinate as a bitset convolution, never by
     enumerating the (2*kmax+1)^d lattice points; the set bits are read in
-    one scan of the bitset's binary digits.
+    one scan of the bitset's binary digits, of d kmax^2 bits: d and kmax
+    are bounded as in ``lattice_spectrum``, by D_MAX and LATTICE_KMAX_LIMIT.
     """
-    _check_int("d", d, 1)
-    _check_int("kmax", kmax, 0)
+    _check_int("d", d, 1, D_MAX)
+    _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
     squares = [j * j for j in range(kmax + 1)]
     acc = 0
     for s in squares:

@@ -211,6 +211,23 @@ class TestDrummond2F0:
         with pytest.raises(ValueError, match=message):
             call(HypTerm2F0(1.0, 1.0, 8.0))
 
+    @pytest.mark.parametrize("n", [ORDER_LIMIT + 1, 10**400])
+    def test_start_index_beyond_the_limit_rejected(self, n):
+        # the prelude forms s_n in n steps, so an unbounded n never returns
+        term = HypTerm2F0(1.0, 1.0, 8.0)
+        message = rf"n must be in \[0, {ORDER_LIMIT}\], got {n}"
+        for call in (lambda: drummond_2f0(term, n=n), lambda: drummond_2f0_at_order(term, n, 3)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_start_index_at_the_limit_accepted(self):
+        # the prelude runs all its steps; the terms (k!)^2 / 8^k overflow
+        # long before, so the approximants are NaN
+        term = HypTerm2F0(1.0, 1.0, 8.0)
+        res = drummond_2f0(term, n=ORDER_LIMIT, k_max=2)
+        assert math.isnan(res.value) and not res.converged
+        assert math.isnan(drummond_2f0_at_order(term, ORDER_LIMIT, 3))
+
     @pytest.mark.parametrize("value", ["1", None])
     @pytest.mark.parametrize("name", ["alpha", "beta", "z"])
     def test_parameters_that_are_not_numbers_rejected_by_name(self, name, value):
@@ -271,6 +288,16 @@ class TestTerminatingCap:
         assert (res.value, res.order, res.converged, res.est_rel_err) == (
             10.0, 4, True, sys.float_info.epsilon
         )
+
+    def test_estimate_sums_the_term_moduli_correctly_rounded(self):
+        # 1 + 2/3 + 4/9: sum() rounds this to 2.1111111111111107 before
+        # Python 3.12 and fsum() to 2.111111111111111 on every version
+        term = HypTerm2F0(-2.0, 1.0, 3.0)
+        moduli = list(map(abs, term.terms(3)))
+        assert sum(moduli) != math.fsum(moduli) or sys.version_info >= (3, 12)
+        res = drummond_2f0(term)
+        assert res.converged and res.order == 3
+        assert res.est_rel_err == sys.float_info.epsilon * math.fsum(moduli) / abs(res.value)
 
     def test_sum_of_zero_has_no_relative_estimate(self):
         # 1 + (-1): no relative error bound exists for a sum of 0

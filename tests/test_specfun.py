@@ -45,6 +45,23 @@ class TestGamma:
         assert rel(kernels.gamma(-0.3), oracle_gamma(-0.3)) <= 1e-14
 
 
+class TestStandardLibraryGamma:
+    """The eigenvalue routes take Gamma at d/2 and d/2 + 1: the integers and
+    the half-integers."""
+
+    def test_is_math_gamma(self):
+        assert _purepy.gamma is math.gamma
+
+    def test_exact_at_the_integers(self):
+        for n in range(1, 7):
+            assert _purepy.gamma(float(n)) == math.factorial(n - 1), n
+
+    @pytest.mark.parametrize("x", [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+    def test_within_two_ulp_at_the_half_integers(self, x):
+        got = _purepy.gamma(x)
+        assert abs(got - oracle_gamma(x)) <= 2 * math.ulp(got)
+
+
 class TestLanczosTable:
     def test_size(self):
         assert len(LANCZOS_C) >= 7

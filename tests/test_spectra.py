@@ -34,7 +34,9 @@ from nlspectra.oracle import (
 )
 from nlspectra.spectra import (
     ASYMPTOTIC_TAIL_CUTOFF,
+    D_MAX,
     HYBRID_SWITCH,
+    LATTICE_KMAX_LIMIT,
     _asy_gamma_part,
     achievable_squared_norms,
 )
@@ -575,20 +577,22 @@ class TestLambdaAsymptotic:
 
 
 # lambda_hybrid(KernelParams(d, alpha, 1), kd).lam by the full formula, Lommel
-# part included; the tail cutoff must leave these bits unchanged
+# part included; the tail cutoff must leave these bits unchanged. From
+# k*delta = 1e20 on the Lommel part is far below rounding, so each value
+# also lies within its estimate of 2 Gamma(d/2+1) (d+2-alpha) part_a.
 _FULL_FORM_VALUES = {
-    (1, 0.5, 1e20): "-0x1.3fffffffa9df6p+3",
-    (1, 0.5, 1e40): "-0x1.3ffffffffffffp+3",
-    (1, 2.9, 1e20): "-0x1.4ab7415dc4c1bp+126",
-    (1, 2.9, 1e40): "-0x1.84c12da9b7761p+252",
-    (3, 2.5, 1e20): "-0x1.dffffffefd9ebp+4",
-    (3, 2.5, 1e40): "-0x1.e000000000004p+4",
-    (3, 4.9, 1e20): "-0x1.561ead8d23d6ap+126",
-    (3, 4.9, 1e40): "-0x1.9228f171c6aa1p+252",
-    (10, 9.5, 1e20): "-0x1.8ffffffec1585p+6",
-    (10, 9.5, 1e40): "-0x1.8ffffffffffffp+6",
-    (10, 11.9, 1e20): "-0x1.67dabed0c7d95p+126",
-    (10, 11.9, 1e40): "-0x1.a701c44af082bp+252",
+    (1, 0.5, 1e20): "-0x1.3fffffffa9df8p+3",
+    (1, 0.5, 1e40): "-0x1.4000000000000p+3",
+    (1, 2.9, 1e20): "-0x1.4ab7415dc4c1cp+126",
+    (1, 2.9, 1e40): "-0x1.84c12da9b7763p+252",
+    (3, 2.5, 1e20): "-0x1.dffffffefd9e8p+4",
+    (3, 2.5, 1e40): "-0x1.e000000000001p+4",
+    (3, 4.9, 1e20): "-0x1.561ead8d23d67p+126",
+    (3, 4.9, 1e40): "-0x1.9228f171c6a9ep+252",
+    (10, 9.5, 1e20): "-0x1.8ffffffec1587p+6",
+    (10, 9.5, 1e40): "-0x1.9000000000000p+6",
+    (10, 11.9, 1e20): "-0x1.67dabed0c7d96p+126",
+    (10, 11.9, 1e40): "-0x1.a701c44af082cp+252",
 }
 
 
@@ -625,6 +629,12 @@ class TestHugeKdelta:
         res = lambda_hybrid(KernelParams(d, alpha, 1.0), kd)
         assert res.terms > 0
         assert res.lam.hex() == _FULL_FORM_VALUES[key]
+        with mp.workprec(256):
+            ref = (
+                2 * mp.gamma(mp.mpf(d) / 2 + 1) * (d + 2 - mp.mpf(alpha))
+                * oracle_asy_part_a(d, alpha, kd)
+            )
+            assert rel(res.lam, ref) <= res.est_rel_err
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("alpha_minus_d", [0.5, 1.9])
@@ -857,6 +867,20 @@ class TestLattice:
         # d = 0 and d = -1 used to give the d = 1 answer
         with pytest.raises(ValueError, match="d must be"):
             achievable_squared_norms(d, 3)
+
+    @pytest.mark.parametrize(
+        "d, kmax, message",
+        [(3, LATTICE_KMAX_LIMIT + 1, r"kmax must be in \[0, 4096\], got 4097"),
+         (D_MAX + 1, 2, r"d must be in \[1, 10\], got 11"),
+         (1, 10**5, r"kmax must be in \[0, 4096\], got 100000")],
+    )
+    def test_achievable_rejects_what_lattice_spectrum_rejects(self, d, kmax, message):
+        # the bitset has d kmax^2 bits: (1, 10**5) would be 1.25 GB
+        with pytest.raises(ValueError, match=message):
+            achievable_squared_norms(d, kmax)
+
+    def test_achievable_accepts_the_largest_d(self):
+        assert achievable_squared_norms(D_MAX, 1) == list(range(D_MAX + 1))
 
     @pytest.mark.parametrize(
         "d, alpha, delta, kmax",
