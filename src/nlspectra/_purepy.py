@@ -302,8 +302,18 @@ def _series_table(d, alpha, p, g):
         c += 2 * aq
 
 
-def maclaurin_lambda(d, alpha, k, delta, tol):
-    """Small-k*delta eigenvalue series, prefactor included.
+def maclaurin_constants(d, alpha, delta, tol):
+    """The constants of ``maclaurin_lambda`` for one (d, alpha, delta, tol):
+    (d, alpha, delta, the integer ratio of delta, log2 tol less
+    _STOP_MARGIN_BITS, and the part of the first stopping goal free of k)."""
+    dn, dq = float(delta).as_integer_ratio()
+    log_tol = (math.log2(tol) if tol < 0.5 else -1.0) - _STOP_MARGIN_BITS
+    return d, alpha, delta, dn, dq, log_tol, log_tol + math.log2(_SUM_FLOOR)
+
+
+def maclaurin_lambda(constants, k):
+    """Small-k*delta eigenvalue series, prefactor included, at k with the
+    ``constants`` of ``maclaurin_constants(d, alpha, delta, tol)``.
 
     Returns (value, terms, converged, est_rel_err). The n = 1 term is
     exactly -k**2, so lambda = -k^2 F, F = sum t_n, is built from term
@@ -350,9 +360,9 @@ def maclaurin_lambda(d, alpha, k, delta, tol):
     falls below the normal doubles. A lambda beyond the double range comes
     back as -inf.
     """
+    d, alpha, delta, dn, dq, log_tol, goal = constants
     x = k * delta
     kn, kq = float(k).as_integer_ratio()
-    dn, dq = float(delta).as_integer_ratio()
     # the denominators are powers of 2, so 2y = y_num / 2^shift
     y_num = (kn * dn) ** 2
     shift = 2 * (kq * dq).bit_length() - 1
@@ -363,8 +373,7 @@ def maclaurin_lambda(d, alpha, k, delta, tol):
     # where k*delta underflows to 0, every term past t_1 is below rounding
     log_x = math.log2(x) if x > 0.0 else -math.inf
     log_2y = 2.0 * log_x - 1.0
-    log_tol = (math.log2(tol) if tol < 0.5 else -1.0) - _STOP_MARGIN_BITS
-    goal = log_tol + math.log2(_SUM_FLOOR) - (log_2y + 1.0 if x * x > 5.0 else _LOG2_5)
+    goal -= log_2y + 1.0 if x * x > 5.0 else _LOG2_5
     n = math.ceil(0.5 * x) or 1
     while True:
         # the first n with log2 |t_(n+1)| <= goal, up to the table's last row

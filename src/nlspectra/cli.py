@@ -25,9 +25,8 @@ from .spectra import (
     MACLAURIN_KDELTA_MAX,
     EvalResult,
     KernelParams,
-    lambda_asymptotic,
+    _Evaluator,
     lambda_hybrid,
-    lambda_maclaurin,
     lattice_spectrum,
 )
 
@@ -112,12 +111,12 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 _FAILED_CELL = EvalResult(math.nan, "error", 0, math.inf)
 
 
-def _best_effort(fn, params, k, tol) -> EvalResult:
+def _best_effort(fn, k) -> EvalResult:
     # sweep cells outside a method's good region still get a value, NaN
     # where the route raises ValueError: the arguments were checked before
     # the sweep, so that cell lies beyond the route's double range
     try:
-        return fn(params, k, tol)
+        return fn(k)
     except NonConvergenceError as exc:
         return exc.result
     except ValueError:
@@ -143,8 +142,6 @@ def _cmd_table(args) -> int:
     if args.with_oracle:
         from .oracle import oracle_lambda_maclaurin
 
-    # looked up per call, so a tracer's wrappers on these names are seen
-    route_fns = {"mac": lambda_maclaurin, "asy": lambda_asymptotic, "hybrid": lambda_hybrid}
     routes = ("mac", "asy") if args.method == "both" else (args.method,)
     header: tuple[str, ...] = ("d", "alpha", "kdelta")
     for route in routes:
@@ -156,13 +153,15 @@ def _cmd_table(args) -> int:
     rows = []
     for alpha in alphas:
         params = KernelParams(d, alpha, 1.0)
+        ev = _Evaluator(params, args.tol)
+        route_fns = {"mac": ev.maclaurin, "asy": ev.asymptotic, "hybrid": ev.hybrid}
         for kd in kds:
             ref = None
             if args.with_oracle:
                 ref = float(oracle_lambda_maclaurin(params, kd))
             row: tuple = (d, alpha, kd)
             for route in routes:
-                res = _best_effort(route_fns[route], params, kd, args.tol)
+                res = _best_effort(route_fns[route], kd)
                 err = "" if ref is None else abs(res.lam - ref) / abs(ref)
                 if route == "hybrid":
                     row += (res.lam, res.method, res.terms, res.est_rel_err, err)

@@ -104,17 +104,21 @@ def _terminal_index(alpha, beta, z, n: int, order: int | None, shown) -> int | N
         raise ValueError("z = 0: the series has no meaningful resummation")
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {shown[2]}")
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"alpha and beta must be finite, got {shown[0]}, {shown[1]}")
-    # a_k = 0 for all k > m when alpha or beta is the nonpositive integer -m
-    m = None
-    for p in (alpha, beta):
-        if p.imag == 0.0 and p.real <= 0.0 and p.real.is_integer():
-            if m is None or -p.real < m:
-                m = -int(p.real)
+    m = _terminating_at(alpha, beta, shown)
     if m is not None and (order is None or n + order >= m):
         return m
     return None
+
+
+def _terminating_at(alpha, beta, shown) -> int | None:
+    """The least m where alpha or beta is the nonpositive integer -m, so that
+    a_k = 0 for all k > m; else None. ValueError, naming ``shown``, where
+    alpha or beta is not finite."""
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {shown[0]}, {shown[1]}")
+    ms = [-int(p.real) for p in (alpha, beta)
+          if p.imag == 0.0 and p.real <= 0.0 and p.real.is_integer()]
+    return min(ms, default=None)
 
 
 def _kernel_args(
@@ -257,19 +261,28 @@ def drummond_2f0_at_order(term: HypTerm2F0, n: int, order: int) -> Scalar:
         raise _underflow_error(term, n) from None
 
 
-def _lommel(mu: float, nu: float, x: float, tol: float) -> TransformResult:
-    """Resummation of S_{mu,nu}(x) ~ x^(mu-1) sum_k (a)_k (b)_k / (-z)^k,
-    a = (1-mu+nu)/2, b = (1-mu-nu)/2, z = x^2/4; its ``value`` is S itself.
+def _lommel_terms(mu: float, nu: float) -> tuple:
+    """(mu, a, b, m) of S_{mu,nu}(x) ~ x^(mu-1) sum_k (a)_k (b)_k / (-z)^k,
+    a = (1-mu+nu)/2, b = (1-mu-nu)/2, z = x^2/4, m its terminal index
+    (``_terminating_at``): what ``_lommel`` takes of (mu, nu). ValueError
+    where a or b is not finite."""
+    a = 0.5 * (1.0 - mu + nu)
+    b = 0.5 * (1.0 - mu - nu)
+    return mu, a, b, _terminating_at(a, b, (a, b))
 
-    Float arguments only; ``tol`` is taken as already checked. Raises
-    ValueError at tiny x: the "z = 0" of ``_terminal_index`` where z
-    underflows, or one naming x where x^(mu-1) overflows. The estimate adds
-    eps |mu-1| |ln x| to the resummation's, for the rounded exponent of
-    x^(mu-1).
+
+def _lommel(terms: tuple, x: float, tol: float) -> TransformResult:
+    """Resummation of S_{mu,nu}(x) from its ``_lommel_terms``; its ``value``
+    is S itself. Float arguments only; ``tol`` is taken as already checked.
+    Raises ValueError at tiny x: "z = 0" where z underflows, or one naming x
+    where x^(mu-1) overflows. The estimate adds eps |mu-1| |ln x| to the
+    resummation's, for the rounded exponent of x^(mu-1).
     """
-    args = (0.5 * (1.0 - mu + nu), 0.5 * (1.0 - mu - nu), 0.25 * x * x)
-    m = _terminal_index(*args, 0, None, args)
-    value, order, converged, est = _resum(args, m, 0, tol, DEFAULT_KMAX)
+    mu, a, b, m = terms
+    z = 0.25 * x * x
+    if z == 0.0:
+        raise ValueError("z = 0: the series has no meaningful resummation")
+    value, order, converged, est = _resum((a, b, z), m, 0, tol, DEFAULT_KMAX)
     try:
         value *= x ** (mu - 1.0)
     except OverflowError:
@@ -309,7 +322,7 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
         raise _tiny_argument_error(x)
     if not 0.25 * x * x < math.inf:
         raise ValueError(f"z must be finite, got x^2/4 at x={x!r}")
-    res = _lommel(mu, nu, x, min(tol, DEFAULT_TOL))
+    res = _lommel(_lommel_terms(mu, nu), x, min(tol, DEFAULT_TOL))
     if not res.converged:
         raise NonConvergenceError(
             f"Lommel S resummation stalled at order {res.order} "

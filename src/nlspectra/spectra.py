@@ -20,13 +20,15 @@ coefficients and checked after it against the sum. ``lambda_hybrid``
 switches to the asymptotic form at k*delta = 40: below it the series is
 the cheaper of the two for every alpha > 0, and the more accurate; both
 are accurate to near machine precision there. Every eigenvalue evaluation
-is independent of all others, so lattice sweeps parallelize trivially.
+is independent of all others, so lattice sweeps parallelize trivially. One
+private evaluator per (params, tol), which holds the constants of both
+routes, computes them: the public ``lambda_*`` check their arguments and
+delegate to one, and ``lattice_spectrum`` sends one every row.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import sys
@@ -34,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_TOL, _check_int, _check_tol, _lommel, _Record
+from .drummond import DEFAULT_TOL, _check_int, _check_tol, _lommel, _lommel_terms, _Record
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -146,6 +148,8 @@ class SpectrumTable(_Record, namedtuple("SpectrumTable", "params kmax entries"))
 
 
 _ZERO_RESULT = EvalResult(0.0, "zero", 0, 0.0)
+#: Binary digit characters to the bytes 0 and 1.
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def _check_params(params: KernelParams) -> None:
@@ -180,34 +184,10 @@ def lambda_maclaurin(
     NonConvergenceError.
     """
     _check_eval_args(params, k_mod, tol)
-    if k_mod == 0.0:
-        return _ZERO_RESULT
-    kd = k_mod * params.delta
-    if not kd <= MACLAURIN_KDELTA_MAX:
-        if kd * kd == math.inf:
-            why = "(k*delta)^2 exceeds the double range"
-        else:
-            why = f"the series is summed up to k*delta={MACLAURIN_KDELTA_MAX:g} only"
-        raise NonConvergenceError(
-            f"series cannot start at k*delta={kd:g}: {why}",
-            result=EvalResult(math.nan, "maclaurin", 0, math.inf),
-        )
-    value, terms, converged, est = _k.maclaurin_lambda(
-        params.d, params.alpha, k_mod, params.delta, tol
-    )
-    if value == -math.inf:
-        raise _beyond_double_range(params.d, params.alpha, params.delta, kd)
-    result = EvalResult(value, "maclaurin", terms, est)
-    if not converged:
-        raise NonConvergenceError(
-            f"series reached the end of its coefficient table at "
-            f"k*delta={kd:g} (est {est:.2e})",
-            result=result,
-        )
-    return result
+    return _Evaluator(params, tol).maclaurin(k_mod)
 
 
-def _asy_gamma_part(d: int, alpha: float, log_y: float) -> tuple[float, float]:
+def _asy_gamma_part(d: int, alpha: float, ghalf: float, log_y: float) -> tuple[float, float]:
     """(part_a, t): the gamma-ratio part of the asymptotic formula, stable
     through alpha = d, and the exponent t of its gamma ratio (0 at alpha = 0
     and alpha = d).
@@ -220,9 +200,9 @@ def _asy_gamma_part(d: int, alpha: float, log_y: float) -> tuple[float, float]:
     vanishes against the Gamma(alpha/2) pole and the second is returned
     directly. So it is where (d-alpha)/2 rounds to d/2: the first term is
     then about alpha relative to the result, below rounding, and f would
-    meet the pole of Gamma(0). At alpha = d, f takes its limit.
+    meet the pole of Gamma(0). At alpha = d, f takes its limit. ``ghalf`` is
+    Gamma(d/2).
     """
-    ghalf = _k.gamma(0.5 * d)
     if 0.5 * (d - alpha) == 0.5 * d:
         return -2.0 / (d * ghalf), 0.0
     f, t = _k.stable_prefactor(0.5 * (d - alpha), log_y, 0.5 * d)
@@ -311,73 +291,7 @@ def lambda_asymptotic(
     value comes back as computed, with ``est_rel_err`` = inf.
     """
     _check_eval_args(params, k_mod, tol)
-    if k_mod == 0.0:
-        raise ValueError("lambda_asymptotic requires k_mod > 0")
-    d = params.d
-    alpha = params.alpha
-    delta = params.delta
-    kd = k_mod * delta
-    if kd < math.inf:
-        log_y = math.log(2.0 / kd)
-    else:
-        # k*delta left the double range, so only the tail branch below
-        # applies, and it needs log(k*delta) alone
-        log_y = _LOG2 - (math.log(k_mod) + math.log(delta))
-
-    try:
-        part_a, t = _asy_gamma_part(d, alpha, log_y)
-    except OverflowError:
-        # (kd/2)^(alpha-d) left the double range. At alpha < d that is a tiny
-        # kd, where part_a and part_b cancel; at alpha > d it needs kd far
-        # beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
-        if alpha < d:
-            raise _intermediate_beyond_double_range(d, alpha, kd) from None
-        lam, est = _huge_gamma_part_in_logs(d, alpha, delta, log_y, kd)
-        return _asymptotic_result(lam, 0, est)
-    c = 2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha)
-    if kd >= ASYMPTOTIC_TAIL_CUTOFF:
-        # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
-        log_kd = math.log(kd) if kd < math.inf else _LOG2 - log_y
-        est = 1e-15 + _EPS * abs(alpha - d) * log_kd
-        lam = _over_delta_squared(c, part_a, d, alpha, delta, kd)
-        return _asymptotic_result(lam, 0, est)
-    try:
-        s1 = _lommel(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0), kd, DEFAULT_TOL)
-        s2 = _lommel(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0), kd, DEFAULT_TOL)
-        w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
-    except (OverflowError, ValueError) as exc:
-        # only a tiny kd gets here: z = kd^2/4 underflows, or a power of kd
-        # overflows
-        raise _intermediate_beyond_double_range(d, alpha, kd) from exc
-    j1, j2 = _k.bessel_j(d - 2, kd)
-    part_b = w * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
-    lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
-    # the absolute error of each part over |part_a + part_b|: part_a through
-    # the rounding of its exponent t, each Bessel-Lommel product through its
-    # Lommel estimate and an absolute error of J. Against mpmath, J errs by
-    # at most 8 eps sqrt(2/(pi kd)).
-    j_err = 8.0 * _EPS * math.sqrt(2.0 / (math.pi * kd))
-    err = abs(part_a) * 4.0 * _EPS * (1.0 + abs(t)) + abs(w) * (
-        abs((d - 2.0 - alpha) * s1.value) * (abs(j1) * (s1.est_rel_err + 2.0 * _EPS) + j_err)
-        + abs(s2.value) * (abs(j2) * (s2.est_rel_err + 2.0 * _EPS) + j_err)
-    )
-    total = abs(part_a + part_b)
-    if total > 0.0 and kd >= ASYMPTOTIC_KDELTA_MIN:
-        est = err / total + 4.0 * _EPS
-    else:
-        est = math.inf
-    result = _asymptotic_result(lam, max(s1.order, s2.order), est)
-    if not (s1.converged and s2.converged):
-        raise NonConvergenceError(
-            f"Lommel resummation stalled at k*delta={kd:g} "
-            f"(est {result.est_rel_err:.2e})",
-            result=result,
-        )
-    if lam != lam:
-        # at a tiny kd, where an infinite product of J and S meets another
-        # in part_b, or J itself overflowed
-        raise _intermediate_beyond_double_range(d, alpha, kd)
-    return result
+    return _Evaluator(params, tol).asymptotic(k_mod)
 
 
 def lambda_hybrid(
@@ -388,34 +302,155 @@ def lambda_hybrid(
     constant mode. Both are accurate on either side of the switch.
     """
     _check_eval_args(params, k_mod, tol)
-    if k_mod == 0.0:
-        return _ZERO_RESULT
-    if k_mod * params.delta < HYBRID_SWITCH:
-        return lambda_maclaurin(params, k_mod, tol)
-    return lambda_asymptotic(params, k_mod, tol)
+    return _Evaluator(params, tol).hybrid(k_mod)
+
+
+class _Evaluator:
+    """The eigenvalues of one (params, tol) at checked arguments, one k_mod
+    a call. The series kernel and its constants are taken when it is built,
+    so that a wrapper installed on ``kernels`` before then is called; the
+    asymptotic route's constants of (d, alpha) on its first call."""
+
+    __slots__ = ("d", "alpha", "delta", "_series", "_constants", "_asy")
+
+    def __init__(self, params: KernelParams, tol: float):
+        self.d, self.alpha, self.delta = params
+        self._series = _k.maclaurin_lambda
+        self._constants = _k.maclaurin_constants(*params, tol)
+        self._asy = None
+
+    def hybrid(self, k_mod: float) -> EvalResult:
+        # k_mod = 0 takes the series, whose result is the exact zero
+        if k_mod * self.delta < HYBRID_SWITCH:
+            return self.maclaurin(k_mod)
+        return self.asymptotic(k_mod)
+
+    def maclaurin(self, k_mod: float) -> EvalResult:
+        if k_mod == 0.0:
+            return _ZERO_RESULT
+        kd = k_mod * self.delta
+        if not kd <= MACLAURIN_KDELTA_MAX:
+            if kd * kd == math.inf:
+                why = "(k*delta)^2 exceeds the double range"
+            else:
+                why = f"the series is summed up to k*delta={MACLAURIN_KDELTA_MAX:g} only"
+            raise NonConvergenceError(
+                f"series cannot start at k*delta={kd:g}: {why}",
+                result=EvalResult(math.nan, "maclaurin", 0, math.inf),
+            )
+        value, terms, converged, est = self._series(self._constants, k_mod)
+        if value == -math.inf:
+            raise _beyond_double_range(self.d, self.alpha, self.delta, kd)
+        result = EvalResult(value, "maclaurin", terms, est)
+        if not converged:
+            raise NonConvergenceError(
+                f"series reached the end of its coefficient table at "
+                f"k*delta={kd:g} (est {est:.2e})",
+                result=result,
+            )
+        return result
+
+    def asymptotic(self, k_mod: float) -> EvalResult:
+        if k_mod == 0.0:
+            raise ValueError("lambda_asymptotic requires k_mod > 0")
+        d = self.d
+        alpha = self.alpha
+        delta = self.delta
+        if self._asy is None:
+            self._asy = (
+                _k.gamma(0.5 * d),
+                2.0 * _k.gamma(0.5 * d + 1.0) * (d + 2.0 - alpha),
+                _lommel_terms(0.5 * (d - 2.0 - 2.0 * alpha), 0.5 * (d - 4.0)),
+                _lommel_terms(0.5 * (d - 2.0 * alpha), 0.5 * (d - 2.0)),
+            )
+        ghalf, c, lommel1, lommel2 = self._asy
+        kd = k_mod * delta
+        if kd < math.inf:
+            log_y = math.log(2.0 / kd)
+        else:
+            # k*delta left the double range, so only the tail branch below
+            # applies, and it needs log(k*delta) alone
+            log_y = _LOG2 - (math.log(k_mod) + math.log(delta))
+
+        try:
+            part_a, t = _asy_gamma_part(d, alpha, ghalf, log_y)
+        except OverflowError:
+            # (kd/2)^(alpha-d) left the double range. At alpha < d that is a tiny
+            # kd, where part_a and part_b cancel; at alpha > d it needs kd far
+            # beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
+            if alpha < d:
+                raise _intermediate_beyond_double_range(d, alpha, kd) from None
+            lam, est = _huge_gamma_part_in_logs(d, alpha, delta, log_y, kd)
+            return _asymptotic_result(lam, 0, est)
+        if kd >= ASYMPTOTIC_TAIL_CUTOFF:
+            # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
+            log_kd = math.log(kd) if kd < math.inf else _LOG2 - log_y
+            est = 1e-15 + _EPS * abs(alpha - d) * log_kd
+            lam = _over_delta_squared(c, part_a, d, alpha, delta, kd)
+            return _asymptotic_result(lam, 0, est)
+        try:
+            s1 = _lommel(lommel1, kd, DEFAULT_TOL)
+            s2 = _lommel(lommel2, kd, DEFAULT_TOL)
+            w = 2.0 ** (0.5 * d) * kd ** (alpha + 1.0 - d)
+        except (OverflowError, ValueError) as exc:
+            # only a tiny kd gets here: z = kd^2/4 underflows, or a power of kd
+            # overflows
+            raise _intermediate_beyond_double_range(d, alpha, kd) from exc
+        j1, j2 = _k.bessel_j(d - 2, kd)
+        part_b = w * ((d - 2.0 - alpha) * j1 * s1.value - j2 * s2.value)
+        lam = _over_delta_squared(c, part_a + part_b, d, alpha, delta, kd)
+        # the absolute error of each part over |part_a + part_b|: part_a through
+        # the rounding of its exponent t, each Bessel-Lommel product through its
+        # Lommel estimate and an absolute error of J. Against mpmath, J errs by
+        # at most 8 eps sqrt(2/(pi kd)).
+        j_err = 8.0 * _EPS * math.sqrt(2.0 / (math.pi * kd))
+        err = abs(part_a) * 4.0 * _EPS * (1.0 + abs(t)) + abs(w) * (
+            abs((d - 2.0 - alpha) * s1.value) * (abs(j1) * (s1.est_rel_err + 2.0 * _EPS) + j_err)
+            + abs(s2.value) * (abs(j2) * (s2.est_rel_err + 2.0 * _EPS) + j_err)
+        )
+        total = abs(part_a + part_b)
+        if total > 0.0 and kd >= ASYMPTOTIC_KDELTA_MIN:
+            est = err / total + 4.0 * _EPS
+        else:
+            est = math.inf
+        result = _asymptotic_result(lam, max(s1.order, s2.order), est)
+        if not (s1.converged and s2.converged):
+            raise NonConvergenceError(
+                f"Lommel resummation stalled at k*delta={kd:g} "
+                f"(est {result.est_rel_err:.2e})",
+                result=result,
+            )
+        if lam != lam:
+            # at a tiny kd, where an infinite product of J and S meets another
+            # in part_b, or J itself overflowed
+            raise _intermediate_beyond_double_range(d, alpha, kd)
+        return result
 
 
 def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     """All m = k_1^2 + ... + k_d^2 with each |k_i| <= kmax, ascending.
 
     Computed coordinate by coordinate as a bitset convolution, never by
-    enumerating the (2*kmax+1)^d lattice points; the set bits are read in
-    one scan of the bitset's binary digits, of d kmax^2 bits: d and kmax
-    are bounded as in ``lattice_spectrum``, by D_MAX and LATTICE_KMAX_LIMIT.
+    enumerating the (2*kmax+1)^d lattice points: the first coordinate's
+    bitset is set byte by byte, and the set bits of the last are read from
+    its binary digits at C speed. It has d kmax^2 bits: d and kmax are
+    bounded as in ``lattice_spectrum``, by D_MAX and LATTICE_KMAX_LIMIT.
     """
     _check_int("d", d, 1, D_MAX)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
     squares = [j * j for j in range(kmax + 1)]
-    acc = 0
+    first = bytearray((kmax * kmax >> 3) + 1)
     for s in squares:
-        acc |= 1 << s
+        first[s >> 3] |= 1 << (s & 7)
+    acc = int.from_bytes(first, "little")
     for _ in range(d - 1):
         nxt = 0
         for s in squares:
             nxt |= acc << s
         acc = nxt
     # digit m of the reversed binary string is bit m
-    return [m for m, bit in enumerate(bin(acc)[:1:-1]) if bit == "1"]
+    digits = bin(acc)[:1:-1].encode().translate(_BIT_OF_DIGIT)
+    return list(itertools.compress(range(len(digits)), digits))
 
 
 def lattice_spectrum(
@@ -434,27 +469,27 @@ def lattice_spectrum(
     _check_params(params)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
     _check_int("jobs", jobs, 1)
+    _check_tol(tol)
     ms = achievable_squared_norms(params.d, kmax)
-    pool = contextlib.nullcontext()
-    mapper = map
-    if jobs > 1 and len(ms) > 1:
-        # imported on first use: it adds about 20 ms to every package import
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        mapper = functools.partial(pool.map, chunksize=max(1, len(ms) // (jobs * 8)))
     entries: dict[int, EvalResult] = {}
-    with pool:
-        # results arrive in the order of ms, whichever mapper runs them
-        results = mapper(
-            lambda_hybrid, itertools.repeat(params), map(math.sqrt, ms), itertools.repeat(tol)
-        )
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and len(ms) > 1:
+            # imported on first use: it adds about 20 ms to every package import
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(
+                lambda_hybrid, itertools.repeat(params), map(math.sqrt, ms),
+                itertools.repeat(tol), chunksize=max(1, len(ms) // (jobs * 8)),
+            )
+        else:
+            results = map(_Evaluator(params, tol).hybrid, map(math.sqrt, ms))
+        # results arrive in the order of ms, either way
         try:
-            for m in ms:
-                entries[m] = next(results)
+            entries.update(zip(ms, results))
         except NonConvergenceError as exc:
             raise NonConvergenceError(
-                f"lattice evaluation failed at m={m}: {exc}", result=exc.result
+                f"lattice evaluation failed at m={ms[len(entries)]}: {exc}", result=exc.result
             ) from exc
     return SpectrumTable(params=params, kmax=kmax, entries=entries)
 

@@ -15,6 +15,8 @@ from nlspectra.cli import _build_parser, _write_rows, main
 from nlspectra.oracle import oracle_closed_form_d1_a0, oracle_drummond_bigfloat
 from nlspectra.spectra import (
     ASYMPTOTIC_KDELTA_MIN,
+    DEFAULT_TOL,
+    MACLAURIN_KDELTA_MAX,
     KernelParams,
     lambda_asymptotic,
     lambda_hybrid,
@@ -152,6 +154,34 @@ class TestTable:
         asy = float(rows[0]["lambda_asy"])
         assert abs(mac - asy) <= 1e-9 * abs(mac)
 
+    @pytest.mark.parametrize("method", ["both", "hybrid"])
+    @pytest.mark.parametrize("tol", ["1e-08", repr(DEFAULT_TOL)])
+    def test_cells_are_the_public_wrappers(self, tmp_path, method, tol):
+        # kdelta from below the asymptotic route's reach to beyond the series'
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "2", "--alpha-min", "0", "--alpha-max", "3.9",
+                "--alpha-steps", "3", "--kdelta-min", "1", "--kdelta-max", "2501",
+                "--kdelta-steps", "4", "--method", method, "--tol", tol,
+                "--out", str(out)) == 0
+        )
+        kds = cli._grid(1.0, 2501.0, 4)
+        assert kds[0] < ASYMPTOTIC_KDELTA_MIN and kds[-1] > MACLAURIN_KDELTA_MAX
+        fns = [lambda_hybrid] if method == "hybrid" else [lambda_maclaurin, lambda_asymptotic]
+        lines = out.read_text().splitlines()[1:]
+        cells = [(alpha, kd) for alpha in cli._grid(0.0, 3.9, 3) for kd in kds]
+        assert len(lines) == len(cells)
+        for line, (alpha, kd) in zip(lines, cells):
+            params = KernelParams(2, alpha, 1.0)
+            row = (2, alpha, kd)
+            for fn in fns:
+                res = cli._best_effort(lambda k: fn(params, k, float(tol)), kd)
+                if method == "hybrid":
+                    row += (res.lam, res.method, res.terms, res.est_rel_err, "")
+                else:
+                    row += (res.lam, res.terms, res.est_rel_err, "")
+            assert line + "\n" == cli._line_format(row) % row
+
     def test_oracle_error_columns(self, tmp_path):
         out = tmp_path / "t.csv"
         assert (
@@ -278,8 +308,8 @@ class TestTable:
         def evaluated(*_args):
             raise AssertionError("a cell was evaluated")
 
-        for name in ("lambda_maclaurin", "lambda_asymptotic", "lambda_hybrid"):
-            monkeypatch.setattr(cli, name, evaluated)
+        # every cell of every method is evaluated through it
+        monkeypatch.setattr(cli, "_Evaluator", evaluated)
         out = tmp_path / "t.csv"
         assert (
             run("table", "--d", "2", "--alpha-min", "0", "--alpha-max", "1",

@@ -228,7 +228,7 @@ class TestAsymptoticGammaPart:
     def test_assembly_matches_unrearranged_form(self, d, kd):
         alpha = 0.0
         while alpha < d + 2 - 1e-9:
-            got = _asy_gamma_part(d, alpha, math.log(2.0 / kd))[0]
+            got = _asy_gamma_part(d, alpha, math.gamma(0.5 * d), math.log(2.0 / kd))[0]
             ref = oracle_asy_part_a(d, alpha, kd)
             scale = max(abs(float(ref)), 1e-3)
             assert abs(got - float(ref)) / scale <= 1e-12, (d, alpha, kd)
@@ -236,7 +236,7 @@ class TestAsymptoticGammaPart:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_limit_branch_at_alpha_d(self, d):
-        got = _asy_gamma_part(d, float(d), math.log(2.0 / 9.0))[0]
+        got = _asy_gamma_part(d, float(d), math.gamma(0.5 * d), math.log(2.0 / 9.0))[0]
         ref = oracle_asy_part_a(d, d, 9.0)
         assert rel(got, ref) <= 1e-12
 
@@ -421,7 +421,8 @@ class TestLambdaMaclaurin:
             a = Fraction(alpha)
             for k, delta in kdeltas:
                 keys.clear()
-                terms, converged = _purepy.maclaurin_lambda(d, alpha, k, delta, EPS)[1:3]
+                constants = _purepy.maclaurin_constants(d, alpha, delta, EPS)
+                terms, converged = _purepy.maclaurin_lambda(constants, k)[1:3]
                 assert converged and len(set(keys)) == 1, (alpha, k * delta)
                 _, _, p, g = keys[0]
                 rows = table(*keys[0])[0]
@@ -853,7 +854,8 @@ class TestLattice:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_achievable_matches_enumeration(self, d):
-        for kmax in range(9):
+        # and at a kmax whose first-coordinate bitset spans many bytes
+        for kmax in [*range(9), {1: 2048, 2: 100, 3: 30, 4: 12}.get(d, 8)]:
             squares = [j * j for j in range(kmax + 1)]
             brute = sorted({sum(c) for c in itertools.product(squares, repeat=d)})
             assert achievable_squared_norms(d, kmax) == brute, (d, kmax)
@@ -889,15 +891,17 @@ class TestLattice:
          (5, 1.0, 5.0, 5)],
     )
     def test_spectrum_entries_are_single_evaluations(self, d, alpha, delta, kmax):
+        # the lattice's evaluator, built once, against one built per call
         params = KernelParams(d, alpha, delta)
-        table = lattice_spectrum(params, kmax)
-        assert max(table.entries) * delta * delta >= HYBRID_SWITCH**2
-        assert any(res.method == "asymptotic" for res in table.entries.values())
-        for m, res in table.entries.items():
-            one = lambda_hybrid(params, math.sqrt(m))
-            assert (res.lam.hex(), res.method, res.terms, res.est_rel_err.hex()) == (
-                one.lam.hex(), one.method, one.terms, one.est_rel_err.hex()
-            ), m
+        for tol in (EPS, spectra.DEFAULT_TOL, 1e-8):
+            table = lattice_spectrum(params, kmax, tol)
+            assert max(table.entries) * delta * delta >= HYBRID_SWITCH**2
+            assert any(res.method == "asymptotic" for res in table.entries.values())
+            for m, res in table.entries.items():
+                one = lambda_hybrid(params, math.sqrt(m), tol)
+                assert (res.lam.hex(), res.method, res.terms, res.est_rel_err.hex()) == (
+                    one.lam.hex(), one.method, one.terms, one.est_rel_err.hex()
+                ), (m, tol)
 
     def test_spectrum_d2_kmax1(self):
         table = lattice_spectrum(KernelParams(2, 1.0, 0.5), 1)

@@ -5,7 +5,7 @@ as zeroed per-layer metrics, and a different backend name as a refusal of
 
 import nlspectra
 from nlbench import spans
-from nlspectra import KernelParams, spectra
+from nlspectra import KernelParams, lattice_spectrum, spectra
 from nlspectra._backend import kernels
 
 
@@ -31,7 +31,27 @@ def test_traced_call_is_counted_and_wrappers_removed():
         spectra.lambda_hybrid(KernelParams(3, 2.0, 1.0), 40.0)
     summary = tracer.summary()
     assert summary["spectra.lambda_hybrid.calls"] == 1
-    assert summary["spectra.lambda_asymptotic.calls"] == 1
+    # the public wrappers delegate to the evaluator, not to one another
+    assert summary["spectra.lambda_asymptotic.calls"] == 0
+    assert summary["kernels.bessel_j.calls"] == 1
     assert summary["kernels.drummond_2f0.calls"] == 2
     assert summary["spectra.route.asymptotic"] == 1
     assert kernels.drummond_2f0 is original
+
+
+def test_lattice_kernel_counts_match_its_entries():
+    # the lattice's evaluator takes the series kernel when it is built, so
+    # inside the traced block it calls the traced one, even where the same
+    # lattice was evaluated before the block
+    params = KernelParams(2, 3.9, 0.8)
+    lattice_spectrum(params, 40)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        table = lattice_spectrum(params, 40)
+    summary = tracer.summary()
+    series = [res for res in table.entries.values() if res.method == "maclaurin"]
+    asymptotic = [res for res in table.entries.values() if res.method == "asymptotic"]
+    assert series and asymptotic
+    assert summary["kernels.maclaurin_lambda.calls"] == len(series)
+    assert summary["kernels.maclaurin_lambda.terms"] == sum(res.terms for res in series)
+    assert summary["kernels.bessel_j.calls"] == len(asymptotic)
