@@ -304,16 +304,20 @@ def _series_table(d, alpha, p, g):
 
 def maclaurin_constants(d, alpha, delta, tol):
     """The constants of ``maclaurin_lambda`` for one (d, alpha, delta, tol):
-    (d, alpha, delta, the integer ratio of delta, log2 tol less
-    _STOP_MARGIN_BITS, and the part of the first stopping goal free of k)."""
+    (d, alpha, delta, dn^2 and shift with delta^2 / 2 = dn^2 / 2^shift
+    exactly, log2 tol less _STOP_MARGIN_BITS, and the part of the first
+    stopping goal free of k)."""
     dn, dq = float(delta).as_integer_ratio()
     log_tol = (math.log2(tol) if tol < 0.5 else -1.0) - _STOP_MARGIN_BITS
-    return d, alpha, delta, dn, dq, log_tol, log_tol + math.log2(_SUM_FLOOR)
+    # dq is a power of 2
+    shift = 2 * dq.bit_length() - 1
+    return d, alpha, delta, dn * dn, shift, log_tol, log_tol + math.log2(_SUM_FLOOR)
 
 
-def maclaurin_lambda(constants, k):
+def maclaurin_lambda(constants, k, m=None):
     """Small-k*delta eigenvalue series, prefactor included, at k with the
-    ``constants`` of ``maclaurin_constants(d, alpha, delta, tol)``.
+    ``constants`` of ``maclaurin_constants(d, alpha, delta, tol)``; at
+    k^2 = m exactly where an int m is given, k being fl(sqrt(m)).
 
     Returns (value, terms, converged, est_rel_err). The n = 1 term is
     exactly -k**2, so lambda = -k^2 F, F = sum t_n, is built from term
@@ -331,12 +335,13 @@ def maclaurin_lambda(constants, k):
 
         s <- A_n - (s y_num >> (shift + g)),
 
-    where y_num / 2^shift = 2y exactly: k and delta enter as the exact
-    ratios of their doubles, so neither k^2 nor a k*delta that underflows
-    as a double can spoil it. The floors of A_n and of the shift each cost
-    less than 1 unit of step n, which (2y / 2^g)^(n-1) <= 1 carries to s at
-    most undiminished, so S = s / 2^p is within 2N units of 2^-p of the sum
-    of its N terms. p = e_bits + _FIXED_POINT_GUARD + 4 bits per bit of
+    where y_num / 2^shift = 2y exactly: delta = dn / dq and k = kn / kq
+    enter as the exact ratios of their doubles, so neither k^2 nor a
+    k*delta that underflows as a double can spoil it. y_num is m dn^2 for
+    an int m, or (kn dn)^2; k alone sets x = k delta, p and N. The floors
+    of A_n and of the shift each cost less than 1 unit of step n, which
+    (2y / 2^g)^(n-1) <= 1 carries to s at most undiminished, so S = s / 2^p
+    is within 2N units of 2^-p of the sum of its N terms. p = e_bits + _FIXED_POINT_GUARD + 4 bits per bit of
     x = k delta, e^x <= 2^e_bits, rounded up to a multiple of 32 so that
     nearby k*delta share a table.
 
@@ -356,16 +361,19 @@ def maclaurin_lambda(constants, k):
     a double holds, however early the sum stops.
 
     est_rel_err is the first omitted term plus the rounding bound, err, over
-    |S| - err, plus 2 eps for forming F and -k (k F); it is inf where lambda
-    falls below the normal doubles. A lambda beyond the double range comes
-    back as -inf.
+    |S| - err, plus 2 eps for forming F and -k (k F), or -(m F); it is inf
+    where lambda falls below the normal doubles. A lambda beyond the double
+    range comes back as -inf.
     """
-    d, alpha, delta, dn, dq, log_tol, goal = constants
+    d, alpha, delta, dn2, shift, log_tol, goal = constants
     x = k * delta
-    kn, kq = float(k).as_integer_ratio()
-    # the denominators are powers of 2, so 2y = y_num / 2^shift
-    y_num = (kn * dn) ** 2
-    shift = 2 * (kq * dq).bit_length() - 1
+    if m is None:
+        # kq is a power of 2, so 2y = y_num / 2^shift
+        kn, kq = float(k).as_integer_ratio()
+        y_num = kn * kn * dn2
+        shift += 2 * kq.bit_length() - 2
+    else:
+        y_num = m * dn2
     g = max(y_num.bit_length() - shift, 0)  # the least g >= 0 with 2y < 2^g
     shift += g
     e_bits = int(x * _LOG2E) + 1  # e^x <= 2^e_bits
@@ -397,7 +405,7 @@ def maclaurin_lambda(constants, k):
         if f > 0.0:
             goal = log_tol + log_f
         n += 1
-    lam = -(k * (k * f))
+    lam = -(k * (k * f)) if m is None else -(m * f)
     rel_t = log_t - log_f  # log2 of |t_(n+1)| / |S|
     if rel_t < 0.0 and abs(lam) >= sys.float_info.min:
         # err is relative to |S|, and |F| >= |S| (1 - err)

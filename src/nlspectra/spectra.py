@@ -309,7 +309,9 @@ class _Evaluator:
     """The eigenvalues of one (params, tol) at checked arguments, one k_mod
     a call. The series kernel and its constants are taken when it is built,
     so that a wrapper installed on ``kernels`` before then is called; the
-    asymptotic route's constants of (d, alpha) on its first call."""
+    asymptotic route's constants of (d, alpha) on its first call. A lattice
+    row passes its int m = |k|^2 too, with k_mod = fl(sqrt(m)): the route
+    test and the asymptotic route take k_mod, the series k^2 = m exactly."""
 
     __slots__ = ("d", "alpha", "delta", "_series", "_constants", "_asy")
 
@@ -319,13 +321,13 @@ class _Evaluator:
         self._constants = _k.maclaurin_constants(*params, tol)
         self._asy = None
 
-    def hybrid(self, k_mod: float) -> EvalResult:
+    def hybrid(self, k_mod: float, m: int | None = None) -> EvalResult:
         # k_mod = 0 takes the series, whose result is the exact zero
         if k_mod * self.delta < HYBRID_SWITCH:
-            return self.maclaurin(k_mod)
+            return self.maclaurin(k_mod, m)
         return self.asymptotic(k_mod)
 
-    def maclaurin(self, k_mod: float) -> EvalResult:
+    def maclaurin(self, k_mod: float, m: int | None = None) -> EvalResult:
         if k_mod == 0.0:
             return _ZERO_RESULT
         kd = k_mod * self.delta
@@ -338,7 +340,7 @@ class _Evaluator:
                 f"series cannot start at k*delta={kd:g}: {why}",
                 result=EvalResult(math.nan, "maclaurin", 0, math.inf),
             )
-        value, terms, converged, est = self._series(self._constants, k_mod)
+        value, terms, converged, est = self._series(self._constants, k_mod, m)
         if value == -math.inf:
             raise _beyond_double_range(self.d, self.alpha, self.delta, kd)
         result = EvalResult(value, "maclaurin", terms, est)
@@ -453,6 +455,11 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     return list(itertools.compress(range(len(digits)), digits))
 
 
+def _lattice_row(params: KernelParams, tol: float, m: int) -> EvalResult:
+    """The row of m of ``lattice_spectrum``, in a worker process."""
+    return _Evaluator(params, tol).hybrid(math.sqrt(m), m)
+
+
 def lattice_spectrum(
     params: KernelParams,
     kmax: int,
@@ -464,7 +471,12 @@ def lattice_spectrum(
 
     Distinct squared norms are evaluated once each; with jobs > 1 they are
     partitioned across worker processes. Results are keyed by m, so the
-    table is identical for any worker count.
+    table is identical for any worker count. A row is ``lambda_hybrid`` at
+    k_mod = fl(sqrt(m)) but for the series, which sums at |k|^2 = m
+    exactly (y_num = m dn^2 with delta = dn / dq, see
+    ``_purepy.maclaurin_lambda``) and forms lambda = -(m F) in one
+    rounding: a series row may differ from ``lambda_hybrid``'s by up to
+    about 4e-16 relative.
     """
     _check_params(params)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
@@ -479,11 +491,11 @@ def lattice_spectrum(
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             results = pool.map(
-                lambda_hybrid, itertools.repeat(params), map(math.sqrt, ms),
-                itertools.repeat(tol), chunksize=max(1, len(ms) // (jobs * 8)),
+                _lattice_row, itertools.repeat(params), itertools.repeat(tol), ms,
+                chunksize=max(1, len(ms) // (jobs * 8)),
             )
         else:
-            results = map(_Evaluator(params, tol).hybrid, map(math.sqrt, ms))
+            results = map(_Evaluator(params, tol).hybrid, map(math.sqrt, ms), ms)
         # results arrive in the order of ms, either way
         try:
             entries.update(zip(ms, results))
@@ -525,6 +537,9 @@ def apply_to_fourier_coeffs(
 
     The operator acts diagonally on Fourier modes, so this is a pointwise
     multiply with an m-deduplicated eigenvalue cache shared across the call.
+    Each eigenvalue is ``lambda_hybrid`` at k_mod = fl(sqrt(m)), so a series
+    one sums at fl(sqrt(m))^2, not at m as ``lattice_spectrum`` does, and
+    may differ from that table's row of m by up to about 4e-16 relative.
     A coordinate memo maps each coordinate value that passed the
     LATTICE_KMAX_LIMIT check in this call to its square, and m = |k|^2 is
     summed from it. A key that is a plain tuple of d exact ints is checked

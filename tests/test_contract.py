@@ -13,7 +13,9 @@ changes, and log-uniform in [1e-320, 1e-2], where
 lambda = -k^2 (1 - O((k*delta)^2)) may fall below the normal doubles.
 A third generator draws k*delta uniform in [28, ``HYBRID_SWITCH``), the
 band the series took over from the asymptotic route when the switch moved
-up from 28.
+up from 28. A fourth draws lattice rows: an integer wavevector whose
+|k|^2 = m the series takes exactly, checked against the oracle at
+k = sqrt(m) taken in mpmath.
 Beyond k*delta = 200 the gamma-ratio part and the two
 Lommel factors of the asymptotic form are checked against their own
 oracles; there a typed error of ``lambda_hybrid`` is allowed.
@@ -25,7 +27,7 @@ import sys
 
 from mpmath import mp
 
-from nlspectra import KernelParams, NonConvergenceError, lambda_hybrid
+from nlspectra import KernelParams, NonConvergenceError, lambda_hybrid, spectra
 from nlspectra.drummond import DEFAULT_TOL, _lommel, _lommel_terms
 from nlspectra.oracle import oracle_asy_part_a, oracle_lambda_maclaurin, oracle_lommel
 from nlspectra.spectra import ASYMPTOTIC_TAIL_CUTOFF, HYBRID_SWITCH, _asy_gamma_part
@@ -37,6 +39,7 @@ SEED = 20181
 CASES = 2000
 EXTRA_CASES = 400
 MOVED_CASES = 150
+LATTICE_CASES = 300
 HUGE_CASES = 40
 ALPHA_STRATA = ("zero", "d", "below_d_plus_2", "tiny", "uniform")
 TOLS = (10 * EPS, 1e-12, 1e-8)
@@ -78,6 +81,19 @@ def _draw_case(rng, i, draw_kdelta):
     return KernelParams(d, alpha, delta), kd / delta
 
 
+def _draw_lattice_case(rng, i):
+    # a wavevector of d integer entries in [-c, c], c about |k| / sqrt(d) for
+    # a k*delta log-uniform in [0.01, 150], and never beyond 150; delta as in
+    # the benchmark's lattices or log-uniform in [0.01, 1]
+    d = rng.randint(1, 10)
+    alpha = _draw_alpha(rng, ALPHA_STRATA[i % len(ALPHA_STRATA)], d)
+    delta = rng.choice((0.1, 0.25, 10.0 ** rng.uniform(-2, 0)))
+    kd = 10.0 ** rng.uniform(-2, math.log10(150.0))
+    c = max(1, min(round(kd / delta / math.sqrt(d)), int(150.0 / delta / math.sqrt(d))))
+    m = sum(rng.randint(-c, c) ** 2 for _ in range(d)) or 1
+    return KernelParams(d, alpha, delta), m
+
+
 def _outcome(params, k, tol=DEFAULT_TOL):
     """The result of ``lambda_hybrid``, or None where it raised a typed
     error; any other exception propagates and fails the test."""
@@ -111,6 +127,27 @@ def test_hybrid_within_its_estimate_of_the_series_oracle():
                 err = float(abs((res.lam - ref) / ref))
             if not err <= res.est_rel_err:
                 failures.append((params, k, tol, res, err))
+    assert not failures, failures[:5]
+
+
+def test_lattice_rows_within_their_estimate_of_the_oracle_at_sqrt_m():
+    # the row of m that lattice_spectrum takes, at every tol in TOLS
+    rng = random.Random(SEED + 4)
+    failures = []
+    for i in range(LATTICE_CASES):
+        params, m = _draw_lattice_case(rng, i)
+        with mp.workprec(256):
+            ref = oracle_lambda_maclaurin(params, mp.sqrt(m))
+        for tol in TOLS:
+            try:
+                res = spectra._Evaluator(params, tol).hybrid(math.sqrt(m), m)
+            except (ValueError, NonConvergenceError) as exc:
+                failures.append((params, m, tol, f"{type(exc).__name__}: {exc}"))
+                continue
+            with mp.workprec(256):
+                err = float(abs((res.lam - ref) / ref))
+            if not err <= res.est_rel_err:
+                failures.append((params, m, tol, res, err))
     assert not failures, failures[:5]
 
 

@@ -435,6 +435,62 @@ class TestLambdaMaclaurin:
                     assert v < 1, (alpha, k * delta, n)
                     v *= (d + 2 * n - a) / ((d + 2 * n + 2 - a) * (n + 1) * (2 * n + d)) * 2**g
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_square_of_k_as_int_m_or_as_float_k(self, d, monkeypatch):
+        # at m = j^2 both ways sum the same table to the same N; lambda = -(m F)
+        # against -(j (j F)) is within an ulp, and equal where j is a power of 2
+        keys = []
+        table = _purepy._series_table
+
+        def recorded(*key):
+            keys.append(key)
+            return table(*key)
+
+        monkeypatch.setattr(_purepy, "_series_table", recorded)
+        rng = random.Random(d)
+        for alpha in (0.0, float(d), d + 2 - 1e-12, rng.uniform(0.0, d + 2.0)):
+            for delta in (0.1, 0.25, 1.0 / 3.0, rng.uniform(0.01, 1.0)):
+                constants = _purepy.maclaurin_constants(d, alpha, delta, EPS)
+                for j in (1, 2, 3, 4, 5, 7, 8, 16, 31, 64, 100, 128, 255, 399):
+                    if j * delta >= HYBRID_SWITCH:
+                        continue
+                    keys.clear()
+                    at_k = _purepy.maclaurin_lambda(constants, float(j))
+                    at_m = _purepy.maclaurin_lambda(constants, float(j), j * j)
+                    assert len(keys) == 2 and keys[0] == keys[1], (alpha, delta, j)
+                    assert at_m[1:] == at_k[1:], (alpha, delta, j)
+                    if j & (j - 1):
+                        assert abs(at_m[0] - at_k[0]) <= math.ulp(at_k[0]), (alpha, delta, j)
+                    else:
+                        assert at_m[0].hex() == at_k[0].hex(), (alpha, delta, j)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_non_square_m_within_its_estimate_of_sqrt_m(self, d):
+        # at k^2 = m and at k = fl(sqrt(m)), against the series at sqrt(m)
+        # taken in mpmath
+        rng = random.Random(100 + d)
+        failures = []
+        for i in range(24):
+            alpha = (0.0, float(d), d + 2 - 1e-12, rng.uniform(0.0, d + 2.0))[i % 4]
+            delta = rng.choice((0.1, 0.25, rng.uniform(0.01, 1.0)))
+            m = rng.randint(2, int((HYBRID_SWITCH / delta) ** 2))
+            if math.isqrt(m) ** 2 == m:
+                m += 1
+            params = KernelParams(d, alpha, delta)
+            with mp.workprec(256):
+                ref = oracle_lambda_maclaurin(params, mp.sqrt(m))
+            for tol in (EPS, 1e-12):
+                constants = _purepy.maclaurin_constants(d, alpha, delta, tol)
+                for lam, _, converged, est in (
+                    _purepy.maclaurin_lambda(constants, math.sqrt(m), m),
+                    _purepy.maclaurin_lambda(constants, math.sqrt(m)),
+                ):
+                    with mp.workprec(256):
+                        err = float(abs((lam - ref) / ref))
+                    if not (converged and err <= est):
+                        failures.append((d, alpha, delta, m, tol, lam, err, est))
+        assert not failures, failures[:5]
+
     def test_cold_call_at_the_reach_builds_one_table(self):
         _purepy._series_table.cache_clear()
         lambda_maclaurin(KernelParams(3, 2.0, 1.0), spectra.MACLAURIN_KDELTA_MAX)
@@ -891,17 +947,28 @@ class TestLattice:
          (5, 1.0, 5.0, 5)],
     )
     def test_spectrum_entries_are_single_evaluations(self, d, alpha, delta, kmax):
-        # the lattice's evaluator, built once, against one built per call
+        # the lattice's evaluator, built once, against one built per row; and
+        # against lambda_hybrid at fl(sqrt(m)), whose series sums at
+        # fl(sqrt(m))^2, not at m
         params = KernelParams(d, alpha, delta)
         for tol in (EPS, spectra.DEFAULT_TOL, 1e-8):
             table = lattice_spectrum(params, kmax, tol)
             assert max(table.entries) * delta * delta >= HYBRID_SWITCH**2
             assert any(res.method == "asymptotic" for res in table.entries.values())
             for m, res in table.entries.items():
-                one = lambda_hybrid(params, math.sqrt(m), tol)
+                one = spectra._Evaluator(params, tol).hybrid(math.sqrt(m), m)
                 assert (res.lam.hex(), res.method, res.terms, res.est_rel_err.hex()) == (
                     one.lam.hex(), one.method, one.terms, one.est_rel_err.hex()
                 ), (m, tol)
+                at_k = lambda_hybrid(params, math.sqrt(m), tol)
+                assert res.method == at_k.method, (m, tol)
+                if res.method == "maclaurin":
+                    bound = math.ulp(at_k.lam) + res.est_rel_err * abs(at_k.lam)
+                    assert abs(res.lam - at_k.lam) <= bound, (m, tol)
+                else:
+                    assert (res.lam.hex(), res.terms, res.est_rel_err.hex()) == (
+                        at_k.lam.hex(), at_k.terms, at_k.est_rel_err.hex()
+                    ), (m, tol)
 
     def test_spectrum_d2_kmax1(self):
         table = lattice_spectrum(KernelParams(2, 1.0, 0.5), 1)
