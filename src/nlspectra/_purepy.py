@@ -64,6 +64,9 @@ _RESCALE_HEADROOM_BITS = 500.0
 _ROUNDING_PER_ORDER = 8.0 * sys.float_info.epsilon
 
 _LOG2E = 1.4426950408889634
+# Smallest normal double, and the rounding of forming F and lambda.
+_DBL_MIN = sys.float_info.min
+_TWO_EPS = 2.0 * sys.float_info.epsilon
 # Fractional bits of the fixed-point series beyond those its terms cancel.
 _FIXED_POINT_GUARD = 64
 # |F| >= _SUM_FLOOR / max((k*delta)^2, 5) (see maclaurin_lambda); the
@@ -374,7 +377,9 @@ def maclaurin_lambda(constants, k, m=None):
         shift += 2 * kq.bit_length() - 2
     else:
         y_num = m * dn2
-    g = max(y_num.bit_length() - shift, 0)  # the least g >= 0 with 2y < 2^g
+    g = y_num.bit_length() - shift  # the least g >= 0 with 2y < 2^g
+    if g < 0:
+        g = 0
     shift += g
     e_bits = int(x * _LOG2E) + 1  # e^x <= 2^e_bits
     p = (e_bits + _FIXED_POINT_GUARD + 31 + 4 * int(x).bit_length()) & -32
@@ -383,6 +388,7 @@ def maclaurin_lambda(constants, k, m=None):
     log_2y = 2.0 * log_x - 1.0
     goal -= log_2y + 1.0 if x * x > 5.0 else _LOG2_5
     n = math.ceil(0.5 * x) or 1
+    one = 1 << p
     while True:
         # the first n with log2 |t_(n+1)| <= goal, up to the table's last row
         coeffs, logs = _series_table(d, alpha, p, g)
@@ -396,7 +402,7 @@ def maclaurin_lambda(constants, k, m=None):
         s = 0
         for a in coeffs[n:0:-1]:
             s = a - (s * y_num >> shift)
-        f = s / (1 << p)
+        f = s / one
         log_f = math.log2(f) if f > 0.0 else -math.inf
         log_t = logs[n + 1] + n * log_2y  # log2 |t_(n+1)|
         converged = log_t <= log_tol + log_f
@@ -407,10 +413,10 @@ def maclaurin_lambda(constants, k, m=None):
         n += 1
     lam = -(k * (k * f)) if m is None else -(m * f)
     rel_t = log_t - log_f  # log2 of |t_(n+1)| / |S|
-    if rel_t < 0.0 and abs(lam) >= sys.float_info.min:
+    if rel_t < 0.0 and abs(lam) >= _DBL_MIN:
         # err is relative to |S|, and |F| >= |S| (1 - err)
         err = 2.0**rel_t + math.ldexp(2 * n, -p) / f
-        est = err / (1.0 - err) + 2.0 * sys.float_info.epsilon if err < 1.0 else math.inf
+        est = err / (1.0 - err) + _TWO_EPS if err < 1.0 else math.inf
     else:
         est = math.inf
     return (lam, n, converged, est)

@@ -175,10 +175,8 @@ def _cmd_table(args) -> int:
 def _cmd_spectrum(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
     table = lattice_spectrum(params, args.kmax, args.tol, jobs=args.jobs)
-    rows = [
-        (m, math.sqrt(m), res.lam, res.method, res.terms, res.est_rel_err)
-        for m, res in table.entries.items()
-    ]
+    # an EvalResult's fields are the last four columns, in order
+    rows = [(m, math.sqrt(m)) + res for m, res in table.entries.items()]
     _write_rows(args.out, EIGENROW_FIELDS, rows, args.format,
                 lead=(params.d, params.alpha, params.delta))
     return 0

@@ -23,12 +23,13 @@ are accurate to near machine precision there. Every eigenvalue evaluation
 is independent of all others, so lattice sweeps parallelize trivially. One
 private evaluator per (params, tol), which holds the constants of both
 routes, computes them: the public ``lambda_*`` check their arguments and
-delegate to one, and ``lattice_spectrum`` sends one every row.
+delegate to one. ``lattice_spectrum`` runs one's loop over the lattice:
+its series rows with m > 0 go straight to the series kernel, the rest
+through ``hybrid``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import sys
@@ -311,7 +312,11 @@ class _Evaluator:
     so that a wrapper installed on ``kernels`` before then is called; the
     asymptotic route's constants of (d, alpha) on its first call. A lattice
     row passes its int m = |k|^2 too, with k_mod = fl(sqrt(m)): the route
-    test and the asymptotic route take k_mod, the series k^2 = m exactly."""
+    test and the asymptotic route take k_mod, the series k^2 = m exactly.
+    ``lattice`` is the loop of one lattice: it calls the series kernel
+    itself for a series row with m > 0, and ``hybrid``, which raises the
+    typed errors, for the constant mode, the asymptotic rows and a series
+    row that fails."""
 
     __slots__ = ("d", "alpha", "delta", "_series", "_constants", "_asy")
 
@@ -320,6 +325,26 @@ class _Evaluator:
         self._series = _k.maclaurin_lambda
         self._constants = _k.maclaurin_constants(*params, tol)
         self._asy = None
+
+    def lattice(self, ms):
+        """``hybrid(fl(sqrt(m)), m)`` of each m of ``ms``, lazily; a series
+        row's record is built past the constructor."""
+        series = self._series
+        constants = self._constants
+        delta = self.delta
+        hybrid = self.hybrid
+        make = tuple.__new__
+        sqrt = math.sqrt
+        lowest = -_HUGE
+        for m in ms:
+            k = sqrt(m)
+            if m and k * delta < HYBRID_SWITCH:
+                lam, terms, converged, est = series(constants, k, m)
+                # not -inf, beyond the double range, nor NaN
+                if converged and lam >= lowest:
+                    yield make(EvalResult, (lam, "maclaurin", terms, est))
+                    continue
+            yield hybrid(k, m)
 
     def hybrid(self, k_mod: float, m: int | None = None) -> EvalResult:
         # k_mod = 0 takes the series, whose result is the exact zero
@@ -455,9 +480,20 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     return list(itertools.compress(range(len(digits)), digits))
 
 
+def _lattice_failure(m: int, exc: NonConvergenceError) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"lattice evaluation failed at m={m}: {exc}", result=exc.result
+    )
+
+
 def _lattice_row(params: KernelParams, tol: float, m: int) -> EvalResult:
-    """The row of m of ``lattice_spectrum``, in a worker process."""
-    return _Evaluator(params, tol).hybrid(math.sqrt(m), m)
+    """The row of m of ``lattice_spectrum``, in a worker process. Its
+    NonConvergenceError names m here: the pool drops a failing chunk's rows,
+    so the caller cannot count them."""
+    try:
+        return _Evaluator(params, tol).hybrid(math.sqrt(m), m)
+    except NonConvergenceError as exc:
+        raise _lattice_failure(m, exc) from exc
 
 
 def lattice_spectrum(
@@ -476,7 +512,10 @@ def lattice_spectrum(
     exactly (y_num = m dn^2 with delta = dn / dq, see
     ``_purepy.maclaurin_lambda``) and forms lambda = -(m F) in one
     rounding: a series row may differ from ``lambda_hybrid``'s by up to
-    about 4e-16 relative.
+    about 4e-16 relative. In one process the series rows with m > 0 go from
+    the evaluator's ``lattice`` loop straight to the series kernel, the
+    other rows, as every row of a worker, through ``hybrid``. A
+    NonConvergenceError names its m.
     """
     _check_params(params)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
@@ -484,25 +523,22 @@ def lattice_spectrum(
     _check_tol(tol)
     ms = achievable_squared_norms(params.d, kmax)
     entries: dict[int, EvalResult] = {}
-    with contextlib.ExitStack() as stack:
-        if jobs > 1 and len(ms) > 1:
-            # imported on first use: it adds about 20 ms to every package import
-            from concurrent.futures import ProcessPoolExecutor
+    # results arrive in the order of ms, either way
+    if jobs > 1 and len(ms) > 1:
+        # imported on first use: it adds about 20 ms to every package import
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            entries.update(zip(ms, pool.map(
                 _lattice_row, itertools.repeat(params), itertools.repeat(tol), ms,
                 chunksize=max(1, len(ms) // (jobs * 8)),
-            )
-        else:
-            results = map(_Evaluator(params, tol).hybrid, map(math.sqrt, ms), ms)
-        # results arrive in the order of ms, either way
+            )))
+    else:
+        # lazy, so that a failing row's m is the one after the last entry
         try:
-            entries.update(zip(ms, results))
+            entries.update(zip(ms, _Evaluator(params, tol).lattice(ms)))
         except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"lattice evaluation failed at m={ms[len(entries)]}: {exc}", result=exc.result
-            ) from exc
+            raise _lattice_failure(ms[len(entries)], exc) from exc
     return SpectrumTable(params=params, kmax=kmax, entries=entries)
 
 

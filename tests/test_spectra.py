@@ -1046,6 +1046,54 @@ class TestLattice:
         assert errors[0] == errors[1]
         assert errors[0].startswith("lattice evaluation failed at m=1: ")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("failure", [NonConvergenceError, ValueError])
+    def test_failure_in_the_middle_of_a_lattice(self, monkeypatch, failure, jobs):
+        # one later series row fails, after the lattice's loop has called the
+        # kernel itself for the rows before it: the error must still name
+        # that m and be the scalar path's. The kernel reports non-convergence
+        # there, or a lambda beyond the double range (-inf).
+        params = KernelParams(2, 3.9, 0.8)
+        series = [
+            m for m in achievable_squared_norms(2, 40)
+            if m and math.sqrt(m) * params.delta < HYBRID_SWITCH
+        ]
+        bad = series[2 * len(series) // 3]
+        kernel = _purepy.maclaurin_lambda
+
+        def failing_at_bad(constants, k, m=None):
+            lam, terms, converged, est = kernel(constants, k, m)
+            if m == bad:
+                if failure is NonConvergenceError:
+                    converged = False
+                else:
+                    lam = -math.inf
+            return lam, terms, converged, est
+
+        monkeypatch.setattr(_purepy, "maclaurin_lambda", failing_at_bad)
+        with pytest.raises(failure) as scalar:
+            spectra._Evaluator(params, spectra.DEFAULT_TOL).hybrid(math.sqrt(bad), bad)
+        with pytest.raises(failure) as info:
+            lattice_spectrum(params, 40, jobs=jobs)
+        assert type(info.value) is failure
+        if failure is NonConvergenceError:
+            assert str(info.value) == f"lattice evaluation failed at m={bad}: {scalar.value}"
+            assert info.value.result == scalar.value.result
+            assert info.value.result.method == "maclaurin"
+        else:
+            assert str(info.value) == str(scalar.value)
+
+    def test_entries_are_records(self):
+        # the lattice's loop builds its series rows with tuple.__new__, not
+        # the constructor; a record equals only a record of its own type
+        table = lattice_spectrum(KernelParams(2, 3.9, 0.8), 40)
+        methods = {res.method for res in table.entries.values()}
+        assert methods == {"zero", "maclaurin", "asymptotic"}
+        for res in table.entries.values():
+            made = EvalResult(*res)
+            assert type(res) is EvalResult
+            assert res == made and hash(res) == hash(made)
+
 
 class TestApplyToFourierCoeffs:
     def test_single_mode_scales_by_eigenvalue(self):
