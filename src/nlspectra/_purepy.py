@@ -122,24 +122,24 @@ def digamma(x):
 
 
 def _bessel_backward(two_nu, x):
-    # (J_nu(x), J_{nu-1}(x)) for 2nu >= 2 by Miller's backward recurrence,
+    # (J_nu(x), J_{nu-1}(x)) for 2nu >= 0 by Miller's backward recurrence,
     # stable for the minimal solution at every x (Gautschi, SIAM Rev. 9
     # (1967) 24; DLMF 10.74(iv)). The run starts at order int(x) + 40, or 20
     # above nu, plus the half of a half-integer order, so each value has the
-    # bits of a run for its order alone. Integer orders are normalized by
-    # J_0 + 2*sum(J_{2m}) = 1; half-integer ones run on to order -1/2 and are
-    # scaled to the larger of J_{1/2} = c sin x and J_{-1/2} = c cos x.
+    # bits of a run for its order alone, and runs on to order -1 or -1/2
+    # (at 2nu = 0 that gives J_{-1} = -J_1). Integer orders are normalized
+    # by J_0 + 2*sum(J_{2m}) = 1; half-integer ones are scaled to the larger
+    # of J_{1/2} = c sin x and J_{-1/2} = c cos x.
     half = 0.5 * (two_nu & 1)
     top = two_nu >> 1
     m = int(x) + 40
     if m < top + 20:
         m = top + 20
-    stop = -1 if half else 0
     bjp = 0.0
     bj = 1e-30
     total = 2.0 * bj if m % 2 == 0 and not half else 0.0
     ra = rb = 0.0
-    while m > stop:
+    while m >= 0:
         bjm = (2.0 * (m + half) / x) * bj - bjp
         bjp = bj
         bj = bjm
@@ -166,19 +166,28 @@ def _bessel_backward(two_nu, x):
     return ra * scale, rb * scale
 
 
+# cos(r pi/4) at r = 0..7, exact where it is 0 or +-1
+_COS_QUARTER = (1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF)
+
+
 @functools.lru_cache(maxsize=32)
-def _hankel_table(nu):
-    """The large-argument expansion of J_nu(x) / sqrt(2/(pi x)) at integer
-    nu, cos w P - sin w Q with w = x - (2nu+1)pi/4: the coefficients of P
-    and of x Q as polynomials in 1/x^2, signs folded in, highest power first,
+def _hankel_table(two_nu):
+    """The large-argument expansion of J_nu(x) / sqrt(2/(pi x)), order
+    passed as 2nu, cos w P - sin w Q with w = x - (2nu+1)pi/4: the
+    coefficients of P and of x Q as polynomials in 1/x^2, signs folded in,
+    highest power first,
 
         P = sum_j (-1)^j a_2j x^-2j,   Q = sum_j (-1)^j a_(2j+1) x^-(2j+1),
 
     a_k = prod_(i<=k) (4nu^2 - (2i-1)^2) / (8i), through the first k with
-    |a_k| 28^-k < 1e-17 (at most 39). The terms fall with x, so that count
-    serves every x >= _HANKEL_X_MIN = 28. Also cos and sin of the phase
-    (2nu+1)pi/4: no accuracy is lost subtracting it from a large x."""
-    mu = 4.0 * nu * nu
+    |a_k| 28^-k < 1e-17 (at most 39). At an integer order the terms fall
+    with x, so that count serves every x >= _HANKEL_X_MIN = 28. At a
+    half-integer order a_k = 0 from k = |nu| + 1/2 on, so the table is the
+    whole expansion, exact at every x (DLMF 10.17(i), 10.49(i)); the tests
+    check that the zero ends it through 2nu = 21. Also cos and sin of the
+    phase (2nu+1)pi/4, exact 0 and +-1 at the half-integer orders: no
+    accuracy is lost subtracting it from a large x."""
+    mu = float(two_nu * two_nu)
     a = 1.0
     signed = [1.0]
     for k in range(1, 40):
@@ -186,15 +195,14 @@ def _hankel_table(nu):
         signed.append(a if k % 4 < 2 else -a)
         if abs(a) * _HANKEL_X_MIN**-k < 1e-17:
             break
-    r = (2 * nu + 1) % 8
-    cph = _SQRT_HALF if r in (1, 7) else -_SQRT_HALF
-    sph = _SQRT_HALF if r in (1, 3) else -_SQRT_HALF
+    r = two_nu + 1  # the phase is r pi/4, its sin cos((r-2) pi/4)
+    cph, sph = _COS_QUARTER[r % 8], _COS_QUARTER[(r - 2) % 8]
     return tuple(reversed(signed[0::2])), tuple(reversed(signed[1::2])), cph, sph
 
 
-def _hankel_sum(nu, x, cx, sx):
-    # J_nu(x) / sqrt(2/(pi x)) from the table of nu; cx, sx are cos x, sin x
-    p_co, q_co, cph, sph = _hankel_table(nu)
+def _hankel_sum(two_nu, x, cx, sx):
+    # J_nu(x) / sqrt(2/(pi x)) from the table of 2nu; cx, sx are cos x, sin x
+    p_co, q_co, cph, sph = _hankel_table(two_nu)
     w = 1.0 / (x * x)
     p = q = 0.0
     for c in p_co:
@@ -207,41 +215,24 @@ def _hankel_sum(nu, x, cx, sx):
 def bessel_j(two_nu, x):
     """(J_nu(x), J_{nu-1}(x)) with the order passed as 2*nu (integer),
     2*nu >= -1: the two adjacent orders the asymptotic route needs, from one
-    evaluation. Half-integer orders come from sqrt(2/(pi x)), cos x, sin x
-    and the upward recurrence, except where that cancels (2*nu >= 3 and
-    x < max(1, nu)); integer orders from x = 28 come from the large-argument
-    expansion, by Horner's rule over the table of ``_hankel_table``; every
-    other case from one backward recurrence. The large-argument regime
-    ignores terms that matter from nu = 11 on; the
-    tests verify 2*nu = -1..21, and the d <= 10 of ``KernelParams`` keeps
-    the eigenvalue routes at 2*nu = -1..8."""
+    evaluation, in two regimes for every order. The large-argument
+    expansion, by Horner's rule over the tables of ``_hankel_table``, serves
+    integer orders from x = 28 and half-integer ones from x = nu, where its
+    finite sum is exact (every x at 2*nu = +-1, where it is
+    sqrt(2/(pi x)) times cos x and sin x); Miller's backward recurrence
+    serves every x below. The integer-order tables ignore terms that matter
+    from nu = 11 on; the tests verify 2*nu = -1..21, and the d <= 10 of
+    ``KernelParams`` keeps the eigenvalue routes at 2*nu = -1..8."""
     if two_nu & 1:
-        if two_nu >= 3 and x < max(1.0, 0.5 * two_nu):
-            return _bessel_backward(two_nu, x)
-        c = math.sqrt(2.0 / (math.pi * x))
-        cos_x = math.cos(x)
-        sin_x = math.sin(x)
-        if two_nu == -1:
-            return c * cos_x, c * (-cos_x / x - sin_x)
-        jm = c * cos_x
-        jc = c * sin_x
-        order = 0.5
-        for _ in range(two_nu >> 1):
-            jm, jc = jc, (2.0 * order / x) * jc - jm
-            order += 1.0
-        return jc, jm
-    nu = two_nu >> 1
-    if x >= _HANKEL_X_MIN:
-        # J_{-n} = (-1)^n J_n holds term by term in the expansion
-        amp = math.sqrt(2.0 / (math.pi * x))
-        cx = math.cos(x)
-        sx = math.sin(x)
-        return amp * _hankel_sum(nu, x, cx, sx), amp * _hankel_sum(nu - 1, x, cx, sx)
-    if nu > 0:
+        x_min = 0.5 * two_nu if two_nu > 1 else 0.0
+    else:
+        x_min = _HANKEL_X_MIN
+    if x < x_min:
         return _bessel_backward(two_nu, x)
-    # J_{-1} = -J_1
-    j1, j0 = _bessel_backward(2, x)
-    return j0, -j1
+    amp = math.sqrt(2.0 / (math.pi * x))
+    cx = math.cos(x)
+    sx = math.sin(x)
+    return amp * _hankel_sum(two_nu, x, cx, sx), amp * _hankel_sum(two_nu - 2, x, cx, sx)
 
 
 @functools.lru_cache(maxsize=32)

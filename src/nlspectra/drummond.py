@@ -300,19 +300,19 @@ def _tiny_argument_error(x: float) -> ValueError:
 def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """Lommel function S_{mu,nu}(x) by resummation of its divergent expansion.
 
-    Reliable for x of a few and beyond (the eigenvalue formulas call it
-    with x >= 6); raises NonConvergenceError, carrying the TransformResult,
-    when the resummation cannot reach ``tol`` within ``DEFAULT_KMAX`` orders.
-    A tol looser than ``DEFAULT_TOL`` acts as ``DEFAULT_TOL``: at a looser
-    one the stopping rule can fire while the approximants are still far
-    from their limit. The estimate covers the rounding, which grows with
-    the order. Where S falls
-    below the normal doubles (x^(mu-1) at large x and negative mu) it comes
-    back as 0 or a subnormal, accurate only in absolute terms, with
-    ``converged`` set and the estimate of the resummation. Raises
-    ValueError naming x where x is so small that z = x^2/4 underflows to 0
-    or x^(mu-1) overflows, or where z is not finite, and naming mu, nu or x
-    where it is not a real number.
+    Reliable for x of a few and beyond. ``lambda_hybrid`` resums the same
+    expansion from x = k*delta = 40 on, a direct ``lambda_asymptotic`` at any
+    x (its estimate inf below 5). Raises NonConvergenceError, carrying the
+    TransformResult, when the resummation cannot reach ``tol`` within
+    ``DEFAULT_KMAX`` orders. A tol looser than ``DEFAULT_TOL`` acts as
+    ``DEFAULT_TOL``: at a looser one the stopping rule can fire while the
+    approximants are still far from their limit. The estimate covers the
+    rounding, which grows with the order. Where S falls below the normal
+    doubles (x^(mu-1) at large x and negative mu) it comes back as 0 or a
+    subnormal, accurate only in absolute terms, with ``converged`` set and
+    the estimate of the resummation. Raises ValueError naming x where x is
+    so small that z = x^2/4 underflows to 0 or x^(mu-1) overflows, or where
+    z is not finite, and naming mu, nu or x where it is not a real number.
     """
     mu, nu, x = _number("mu", mu, float), _number("nu", nu, float), _number("x", x, float)
     if x <= 0.0:

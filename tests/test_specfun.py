@@ -170,10 +170,9 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("two_nu", range(-3, 22))
     def test_every_accepted_order_against_mpmath(self, two_nu):
-        # every regime and both sides of each switch: backward recurrence
-        # (x < 28 for integer orders, x < max(1, nu) for half-integer ones
-        # from nu = 3/2), large-argument expansion (x >= 28), closed forms
-        # and upward recurrence (the other half-integer cases)
+        # both regimes and both sides of each switch: backward recurrence
+        # (x < 28 for integer orders, x < nu for half-integer ones from
+        # nu = 3/2), large-argument expansion (every other case)
         nu = two_nu / 2.0
         xs = [0.1, 1.0, 3.3, 6.99, 7.0, 7.01, 9.7, 10.6, 14.2, 21.0, 27.99, 28.0, 28.01]
         xs += [31.4, 37.7, 45.0, 66.0, 100.0, 170.0, 1e3, 1e5]
@@ -201,7 +200,7 @@ class TestBesselJ:
     @pytest.mark.parametrize("two_nu", range(-1, 22))
     def test_large_argument_regime_within_8_eps_on_a_dense_grid(self, two_nu):
         # both elements at 321 points of [28, 60], where the Hankel tables
-        # serve the integer orders
+        # serve every order
         for i in range(321):
             x = 28.0 + i / 10
             scale = 8.0 * sys.float_info.epsilon * math.sqrt(2.0 / (math.pi * x))
@@ -215,13 +214,38 @@ class TestBesselJ:
         # the last tabulated term, a_k 28^-k, is the first below 1e-17: the
         # terms fall with x, so the table serves every x >= 28; the terms
         # before it are all above 1e-17 and fall from one to the next
-        p_co, q_co, _cph, _sph = _purepy._hankel_table(nu)
+        p_co, q_co, _cph, _sph = _purepy._hankel_table(2 * nu)
         signed = [None] * (len(p_co) + len(q_co))
         signed[0::2] = reversed(p_co)
         signed[1::2] = reversed(q_co)
         terms = [abs(a) * 28.0**-k for k, a in enumerate(signed)]
         assert terms[-1] < 1e-17 <= min(terms[:-1])
         assert all(b < a for a, b in zip(terms[1:-1], terms[2:]))
+
+    @pytest.mark.parametrize("two_nu", range(-3, 22, 2))
+    def test_half_integer_table_is_the_whole_expansion(self, two_nu):
+        # a_k vanishes from k = |nu| + 1/2 on: the first |nu| + 1/2
+        # coefficients are nonzero, and none after them. The phase
+        # (2nu+1)pi/4 is a multiple of pi/2: its cos and sin are 0 and +-1
+        p_co, q_co, cph, sph = _purepy._hankel_table(two_nu)
+        signed = [None] * (len(p_co) + len(q_co))
+        signed[0::2] = reversed(p_co)
+        signed[1::2] = reversed(q_co)
+        n = (abs(two_nu) + 1) // 2
+        assert all(signed[:n]) and not any(signed[n:]), signed
+        r = (two_nu + 1) // 2 % 4
+        assert (cph, sph) == ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[r]
+
+    def test_d_1_and_d_3_pairs_are_the_closed_forms(self):
+        # lambda_asymptotic takes the pair of 2nu = -1 at d = 1 and of
+        # 2nu = 1 at d = 3; both have the bits of the closed forms
+        for x in _grid():
+            c = math.sqrt(2.0 / (math.pi * x))
+            sin_x, cos_x = math.sin(x), math.cos(x)
+            got = [v.hex() for v in kernels.bessel_j(1, x)]
+            assert got == [(c * sin_x).hex(), (c * cos_x).hex()], x
+            got = [v.hex() for v in kernels.bessel_j(-1, x)]
+            assert got == [(c * cos_x).hex(), (c * (-cos_x / x - sin_x)).hex()], x
 
     @pytest.mark.parametrize("nu", [11.0, 11.5, 20.0, 32.0])
     def test_orders_beyond_the_verified_range_rejected(self, nu):
