@@ -26,8 +26,8 @@ from .spectra import (
     EvalResult,
     KernelParams,
     _Evaluator,
+    _lattice_entries,
     lambda_hybrid,
-    lattice_spectrum,
 )
 
 EIGENROW_FIELDS = ("d", "alpha", "delta", "m", "k_mod", "lambda", "method", "terms", "est_rel_err")
@@ -46,13 +46,27 @@ def _line_format(row) -> str:
 def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str, lead: tuple = ()) -> None:
     """Write atomically: a partial file never replaces the target.
 
-    ``rows`` is a list of tuples that all have the column types of the
-    first, each after the ``lead`` values every row shares; each CSV line is
-    one format operation, with ``lead`` formatted once as text.
+    ``rows`` is any iterable of tuples, read once, that all have the column
+    types of the first, each after the ``lead`` values every row shares. CSV
+    takes its line format from the first row and writes each row as it is
+    read, so it holds no row but the current one; each line is one format
+    operation, with ``lead`` formatted once as text. JSON builds its list of
+    records first, one per row, and writes it whole.
+
+    The rows go to a new file in the target's directory, created
+    exclusively under a name no other file has, which then replaces the
+    target; on any failure it is removed and the target left as it was.
     """
-    tmp = path + ".tmp"
+    n = 0
+    while True:
+        tmp = f"{path}.{os.getpid()}.{n}.tmp"
+        try:
+            fh = open(tmp, "x")
+            break
+        except FileExistsError:
+            n += 1
     try:
-        with open(tmp, "w") as fh:
+        with fh:
             if fmt == "json":
                 import json  # imported on first use: it adds 2-6 ms to every start-up
 
@@ -61,11 +75,14 @@ def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str, lead: tuple 
                 fh.write("\n")
             else:
                 fh.write(",".join(header) + "\n")
-                if rows:
-                    line = _line_format(rows[0])
+                rows = iter(rows)
+                first = next(rows, None)
+                if first is not None:
+                    line = _line_format(first)
                     if lead:
                         line = (_line_format(lead) % lead).replace("%", "%%")[:-1] + "," + line
-                    fh.writelines(line % row for row in rows)
+                    fh.write(line % first)
+                    fh.writelines(map(line.__mod__, rows))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -150,33 +167,34 @@ def _cmd_table(args) -> int:
         else:
             header += (f"lambda_{route}", f"terms_{route}", f"est_{route}", f"err_{route}")
 
-    rows = []
-    for alpha in alphas:
-        params = KernelParams(d, alpha, 1.0)
-        ev = _Evaluator(params, args.tol)
-        route_fns = {"mac": ev.maclaurin, "asy": ev.asymptotic, "hybrid": ev.hybrid}
-        for kd in kds:
-            ref = None
-            if args.with_oracle:
-                ref = float(oracle_lambda_maclaurin(params, kd))
-            row: tuple = (d, alpha, kd)
-            for route in routes:
-                res = _best_effort(route_fns[route], kd)
-                err = "" if ref is None else abs(res.lam - ref) / abs(ref)
-                if route == "hybrid":
-                    row += (res.lam, res.method, res.terms, res.est_rel_err, err)
-                else:
-                    row += (res.lam, res.terms, res.est_rel_err, err)
-            rows.append(row)
-    _write_rows(args.out, header, rows, args.format)
+    def rows():
+        for alpha in alphas:
+            params = KernelParams(d, alpha, 1.0)
+            ev = _Evaluator(params, args.tol)
+            route_fns = {"mac": ev.maclaurin, "asy": ev.asymptotic, "hybrid": ev.hybrid}
+            for kd in kds:
+                ref = None
+                if args.with_oracle:
+                    ref = float(oracle_lambda_maclaurin(params, kd))
+                row: tuple = (d, alpha, kd)
+                for route in routes:
+                    res = _best_effort(route_fns[route], kd)
+                    err = "" if ref is None else abs(res.lam - ref) / abs(ref)
+                    if route == "hybrid":
+                        row += (res.lam, res.method, res.terms, res.est_rel_err, err)
+                    else:
+                        row += (res.lam, res.terms, res.est_rel_err, err)
+                yield row
+
+    _write_rows(args.out, header, rows(), args.format)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
-    table = lattice_spectrum(params, args.kmax, args.tol, jobs=args.jobs)
+    entries = _lattice_entries(params, args.kmax, args.tol, args.jobs)
     # an EvalResult's fields are the last four columns, in order
-    rows = [(m, math.sqrt(m)) + res for m, res in table.entries.items()]
+    rows = ((m, math.sqrt(m)) + res for m, res in entries)
     _write_rows(args.out, EIGENROW_FIELDS, rows, args.format,
                 lead=(params.d, params.alpha, params.delta))
     return 0
@@ -191,19 +209,21 @@ def _cmd_phase(args) -> int:
     ims = _grid(args.im_min, args.im_max, args.ny)
     alpha = complex(args.alpha)
     beta = complex(args.beta)
-    rows = []
-    for im in ims:
-        for re in res:
-            z = complex(re, im)
-            try:
-                t = drummond_2f0_at_order(HypTerm2F0(alpha, beta, z), 0, args.order)
-                t = complex(t) - 1.0
-            except ValueError:
-                t = complex(math.nan, math.nan)
-            if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-                t = complex(math.nan, math.nan)
-            rows.append((re, im, t.real, t.imag))
-    _write_rows(args.out, PHASEROW_FIELDS, rows, args.format)
+
+    def rows():
+        for im in ims:
+            for re in res:
+                z = complex(re, im)
+                try:
+                    t = drummond_2f0_at_order(HypTerm2F0(alpha, beta, z), 0, args.order)
+                    t = complex(t) - 1.0
+                except ValueError:
+                    t = complex(math.nan, math.nan)
+                if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+                    t = complex(math.nan, math.nan)
+                yield re, im, t.real, t.imag
+
+    _write_rows(args.out, PHASEROW_FIELDS, rows(), args.format)
     return 0
 
 

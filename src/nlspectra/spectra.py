@@ -23,9 +23,10 @@ are accurate to near machine precision there. Every eigenvalue evaluation
 is independent of all others, so lattice sweeps parallelize trivially. One
 private evaluator per (params, tol), which holds the constants of both
 routes, computes them: the public ``lambda_*`` check their arguments and
-delegate to one. ``lattice_spectrum`` runs one's loop over the lattice:
-its series rows with m > 0 go straight to the series kernel, the rest
-through ``hybrid``.
+delegate to one. ``lattice_spectrum`` and the ``spectrum`` command run
+one's loop over the lattice, which yields each row as it is computed: its
+series rows with m > 0 go straight to the series kernel, the rest through
+``hybrid``.
 """
 
 from __future__ import annotations
@@ -327,8 +328,9 @@ class _Evaluator:
         self._asy = None
 
     def lattice(self, ms):
-        """``hybrid(fl(sqrt(m)), m)`` of each m of ``ms``, lazily; a series
-        row's record is built past the constructor."""
+        """``(m, hybrid(fl(sqrt(m)), m))`` of each m of the iterable ``ms``,
+        lazily; a series row's record is built past the constructor. A
+        NonConvergenceError names its m."""
         series = self._series
         constants = self._constants
         delta = self.delta
@@ -342,9 +344,13 @@ class _Evaluator:
                 lam, terms, converged, est = series(constants, k, m)
                 # not -inf, beyond the double range, nor NaN
                 if converged and lam >= lowest:
-                    yield make(EvalResult, (lam, "maclaurin", terms, est))
+                    yield m, make(EvalResult, (lam, "maclaurin", terms, est))
                     continue
-            yield hybrid(k, m)
+            try:
+                res = hybrid(k, m)
+            except NonConvergenceError as exc:
+                raise _lattice_failure(m, exc) from exc
+            yield m, res
 
     def hybrid(self, k_mod: float, m: int | None = None) -> EvalResult:
         # k_mod = 0 takes the series, whose result is the exact zero
@@ -455,7 +461,8 @@ class _Evaluator:
 
 
 def achievable_squared_norms(d: int, kmax: int) -> list[int]:
-    """All m = k_1^2 + ... + k_d^2 with each |k_i| <= kmax, ascending.
+    """All m = k_1^2 + ... + k_d^2 with each |k_i| <= kmax, ascending: the
+    list of the one enumeration ``lattice_spectrum`` reads lazily.
 
     Computed coordinate by coordinate as a bitset convolution, never by
     enumerating the (2*kmax+1)^d lattice points: the first coordinate's
@@ -465,6 +472,12 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
     """
     _check_int("d", d, 1, D_MAX)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
+    return list(_squared_norms(d, kmax))
+
+
+def _squared_norms(d: int, kmax: int):
+    """The achievable m of checked (d, kmax), ascending, as an iterator over
+    the d kmax^2 + 1 digit bytes of the bitset: it holds no object per m."""
     squares = [j * j for j in range(kmax + 1)]
     first = bytearray((kmax * kmax >> 3) + 1)
     for s in squares:
@@ -477,7 +490,7 @@ def achievable_squared_norms(d: int, kmax: int) -> list[int]:
         acc = nxt
     # digit m of the reversed binary string is bit m
     digits = bin(acc)[:1:-1].encode().translate(_BIT_OF_DIGIT)
-    return list(itertools.compress(range(len(digits)), digits))
+    return itertools.compress(range(len(digits)), digits)
 
 
 def _lattice_failure(m: int, exc: NonConvergenceError) -> NonConvergenceError:
@@ -494,6 +507,32 @@ def _lattice_row(params: KernelParams, tol: float, m: int) -> EvalResult:
         return _Evaluator(params, tol).hybrid(math.sqrt(m), m)
     except NonConvergenceError as exc:
         raise _lattice_failure(m, exc) from exc
+
+
+def _lattice_entries(params: KernelParams, kmax: int, tol: float, jobs: int):
+    """The ``(m, EvalResult)`` entries of ``lattice_spectrum``, ascending in
+    m, from arguments checked before the first. In one process they are
+    computed as they are read, with no object kept per m; worker processes
+    compute them all, from the list of m, before the first is read."""
+    _check_params(params)
+    _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
+    _check_int("jobs", jobs, 1)
+    _check_tol(tol)
+    ms = _squared_norms(params.d, kmax)
+    if jobs > 1:
+        ms = list(ms)
+        if len(ms) > 1:
+            # imported on first use: it adds about 20 ms to every package import
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                # results arrive in the order of ms
+                rows = list(pool.map(
+                    _lattice_row, itertools.repeat(params), itertools.repeat(tol), ms,
+                    chunksize=max(1, len(ms) // (jobs * 8)),
+                ))
+            return zip(ms, rows)
+    return _Evaluator(params, tol).lattice(ms)
 
 
 def lattice_spectrum(
@@ -515,31 +554,13 @@ def lattice_spectrum(
     about 4e-16 relative. In one process the series rows with m > 0 go from
     the evaluator's ``lattice`` loop straight to the series kernel, the
     other rows, as every row of a worker, through ``hybrid``. A
-    NonConvergenceError names its m.
+    NonConvergenceError names its m. The table holds one entry per m; the
+    ``spectrum`` command writes the same rows from the same loop as they
+    are computed, and holds none.
     """
-    _check_params(params)
-    _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
-    _check_int("jobs", jobs, 1)
-    _check_tol(tol)
-    ms = achievable_squared_norms(params.d, kmax)
-    entries: dict[int, EvalResult] = {}
-    # results arrive in the order of ms, either way
-    if jobs > 1 and len(ms) > 1:
-        # imported on first use: it adds about 20 ms to every package import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries.update(zip(ms, pool.map(
-                _lattice_row, itertools.repeat(params), itertools.repeat(tol), ms,
-                chunksize=max(1, len(ms) // (jobs * 8)),
-            )))
-    else:
-        # lazy, so that a failing row's m is the one after the last entry
-        try:
-            entries.update(zip(ms, _Evaluator(params, tol).lattice(ms)))
-        except NonConvergenceError as exc:
-            raise _lattice_failure(ms[len(entries)], exc) from exc
-    return SpectrumTable(params=params, kmax=kmax, entries=entries)
+    return SpectrumTable(
+        params=params, kmax=kmax, entries=dict(_lattice_entries(params, kmax, tol, jobs))
+    )
 
 
 def _wavevector(kvec, d: int) -> tuple[int, ...]:

@@ -6,18 +6,21 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 
-from nlspectra import NonConvergenceError, cli
+from nlspectra import NonConvergenceError, _purepy, cli
 from nlspectra.cli import _build_parser, _write_rows, main
 from nlspectra.oracle import oracle_closed_form_d1_a0, oracle_drummond_bigfloat
 from nlspectra.spectra import (
     ASYMPTOTIC_KDELTA_MIN,
     DEFAULT_TOL,
+    HYBRID_SWITCH,
     MACLAURIN_KDELTA_MAX,
     KernelParams,
+    achievable_squared_norms,
     lambda_asymptotic,
     lambda_hybrid,
     lambda_maclaurin,
@@ -399,6 +402,35 @@ class TestSpectrum:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_midway_leaves_no_file(self, tmp_path, monkeypatch, capsys, fmt):
+        # rows before the failing m are already written to the temporary file
+        # when the series kernel stops converging at a later series m
+        delta = 0.8
+        series = [
+            m for m in achievable_squared_norms(2, 40)
+            if m and math.sqrt(m) * delta < HYBRID_SWITCH
+        ]
+        bad = series[2 * len(series) // 3]
+        kernel = _purepy.maclaurin_lambda
+
+        def failing_at_bad(constants, k, m=None):
+            lam, terms, converged, est = kernel(constants, k, m)
+            return lam, terms, converged and m != bad, est
+
+        monkeypatch.setattr(_purepy, "maclaurin_lambda", failing_at_bad)
+        out = tmp_path / "s.out"
+        argv = ["spectrum", "--d", "2", "--alpha", "3.9", "--delta", repr(delta),
+                "--kmax", "40", "--out", str(out), "--format", fmt]
+        assert run(*argv) == 3
+        assert f"m={bad}:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        out.write_bytes(b"old bytes\n")
+        assert run(*argv) == 3
+        assert f"m={bad}:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["s.out"]
+        assert out.read_bytes() == b"old bytes\n"
+
 
 class TestPhase:
     def test_single_point_matches_oracle(self, tmp_path):
@@ -534,6 +566,53 @@ class TestWriteRows:
         out = tmp_path / "rows.csv"
         _write_rows(str(out), self.HEADER, [], "csv")
         assert out.read_text() == ",".join(self.HEADER) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_from_an_iterator(self, tmp_path, fmt):
+        out = tmp_path / "iter.out"
+        _write_rows(str(out), self.HEADER, iter(self.ROWS), fmt)
+        plain = tmp_path / "list.out"
+        _write_rows(str(plain), self.HEADER, self.ROWS, fmt)
+        assert out.read_bytes() == plain.read_bytes()
+        empty = tmp_path / "empty.out"
+        _write_rows(str(empty), self.HEADER, iter(()), fmt)
+        _write_rows(str(plain), self.HEADER, [], fmt)
+        assert empty.read_bytes() == plain.read_bytes()
+
+    def test_files_named_like_the_temporary_are_kept(self, tmp_path):
+        # the temporary file is created exclusively, under a name of its own
+        out = tmp_path / "rows.csv"
+        mine = {out.name + ".tmp": b"mine\n", f"{out.name}.{os.getpid()}.0.tmp": b"also mine\n"}
+        for name, data in mine.items():
+            (tmp_path / name).write_bytes(data)
+        _write_rows(str(out), self.HEADER, self.ROWS, "csv")
+        written = out.read_bytes()
+        # a row short of columns fails to format after the rows before it
+        with pytest.raises(TypeError):
+            _write_rows(str(out), self.HEADER, self.ROWS + [(1,)], "csv")
+        assert out.read_bytes() == written
+        assert sorted(os.listdir(tmp_path)) == sorted([out.name, *mine])
+        for name, data in mine.items():
+            assert (tmp_path / name).read_bytes() == data
+
+
+def test_memory_does_not_grow_with_the_rows(tmp_path):
+    # every CSV row is written as it is computed: the traced peak of a
+    # 5,924-row lattice or a 50,000-point phase grid holds no list of rows
+    # (about 2 and 6 MiB when each command built its whole list first)
+    out = str(tmp_path / "o.csv")
+    for argv in (
+        ["spectrum", "--d", "2", "--alpha", "1", "--delta", "0.01", "--kmax", "128"],
+        ["phase", "--alpha", "1", "--beta", "1", "--order", "0", "--re-min", "-2",
+         "--re-max", "2", "--im-min", "-2", "--im-max", "2", "--nx", "250", "--ny", "200"],
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, (argv[0], peak)
 
 
 def test_cli_import_loads_no_oracle_or_pool():
