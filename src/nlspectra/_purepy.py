@@ -390,9 +390,11 @@ def maclaurin_lambda(constants, k, m=None):
                 n = mid + 1
             else:
                 hi = mid
-        s = 0
-        for a in coeffs[n:0:-1]:
+        s = coeffs[n]
+        for a in coeffs[n - 1:0:-1]:
             s = a - (s * y_num >> shift)
+        # not math.ldexp(s, -p), which overflows once s reaches 2^1024, from
+        # k*delta of about 650 on
         f = s / one
         log_f = math.log2(f) if f > 0.0 else -math.inf
         log_t = logs[n + 1] + n * log_2y  # log2 |t_(n+1)|

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid parameters, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -157,7 +158,13 @@ def _cmd_table(args) -> int:
     kds = _grid(args.kdelta_min, args.kdelta_max, args.kdelta_steps)
 
     if args.with_oracle:
-        from .oracle import oracle_lambda_maclaurin
+        try:
+            from .oracle import oracle_lambda_maclaurin
+        except ModuleNotFoundError as exc:
+            if exc.name != "mpmath":
+                raise
+            raise ValueError("--with-oracle needs mpmath, the oracle extra: "
+                             "pip install 'nlspectra[oracle]'") from None
 
     routes = ("mac", "asy") if args.method == "both" else (args.method,)
     header: tuple[str, ...] = ("d", "alpha", "kdelta")
@@ -192,9 +199,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = KernelParams(args.d, args.alpha, args.delta)
-    entries = _lattice_entries(params, args.kmax, args.tol, args.jobs)
-    # an EvalResult's fields are the last four columns, in order
-    rows = ((m, math.sqrt(m)) + res for m, res in entries)
+    rows = _lattice_entries(params, args.kmax, args.tol, args.jobs)
     _write_rows(args.out, EIGENROW_FIELDS, rows, args.format,
                 lead=(params.d, params.alpha, params.delta))
     return 0
@@ -227,7 +232,10 @@ def _cmd_phase(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a new namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="nlspectra",
         description="Eigenvalues of nonlocal diffusion operators on torus lattices.",

@@ -24,9 +24,9 @@ is independent of all others, so lattice sweeps parallelize trivially. One
 private evaluator per (params, tol), which holds the constants of both
 routes, computes them: the public ``lambda_*`` check their arguments and
 delegate to one. ``lattice_spectrum`` and the ``spectrum`` command run
-one's loop over the lattice, which yields each row as it is computed: its
-series rows with m > 0 go straight to the series kernel, the rest through
-``hybrid``.
+one's loop over the lattice, which yields each output row as it is
+computed: its series rows with m > 0 go straight to the series kernel, the
+rest through ``hybrid``.
 """
 
 from __future__ import annotations
@@ -314,10 +314,10 @@ class _Evaluator:
     asymptotic route's constants of (d, alpha) on its first call. A lattice
     row passes its int m = |k|^2 too, with k_mod = fl(sqrt(m)): the route
     test and the asymptotic route take k_mod, the series k^2 = m exactly.
-    ``lattice`` is the loop of one lattice: it calls the series kernel
-    itself for a series row with m > 0, and ``hybrid``, which raises the
-    typed errors, for the constant mode, the asymptotic rows and a series
-    row that fails."""
+    ``lattice`` is the loop of one lattice, which yields output rows: it
+    calls the series kernel itself for a series row with m > 0, and
+    ``hybrid``, which raises the typed errors, for the constant mode, the
+    asymptotic rows and a series row that fails."""
 
     __slots__ = ("d", "alpha", "delta", "_series", "_constants", "_asy")
 
@@ -328,14 +328,14 @@ class _Evaluator:
         self._asy = None
 
     def lattice(self, ms):
-        """``(m, hybrid(fl(sqrt(m)), m))`` of each m of the iterable ``ms``,
-        lazily; a series row's record is built past the constructor. A
-        NonConvergenceError names its m."""
+        """The row ``(m, k_mod, lam, method, terms, est_rel_err)`` of each m
+        of the iterable ``ms``, lazily, with k_mod = fl(sqrt(m)): a series
+        row is built in the loop, any other is ``(m, k_mod) + hybrid(k_mod,
+        m)``. A NonConvergenceError names its m."""
         series = self._series
         constants = self._constants
         delta = self.delta
         hybrid = self.hybrid
-        make = tuple.__new__
         sqrt = math.sqrt
         lowest = -_HUGE
         for m in ms:
@@ -344,13 +344,13 @@ class _Evaluator:
                 lam, terms, converged, est = series(constants, k, m)
                 # not -inf, beyond the double range, nor NaN
                 if converged and lam >= lowest:
-                    yield m, make(EvalResult, (lam, "maclaurin", terms, est))
+                    yield m, k, lam, "maclaurin", terms, est
                     continue
             try:
                 res = hybrid(k, m)
             except NonConvergenceError as exc:
                 raise _lattice_failure(m, exc) from exc
-            yield m, res
+            yield (m, k) + res
 
     def hybrid(self, k_mod: float, m: int | None = None) -> EvalResult:
         # k_mod = 0 takes the series, whose result is the exact zero
@@ -499,19 +499,20 @@ def _lattice_failure(m: int, exc: NonConvergenceError) -> NonConvergenceError:
     )
 
 
-def _lattice_row(params: KernelParams, tol: float, m: int) -> EvalResult:
-    """The row of m of ``lattice_spectrum``, in a worker process. Its
+def _lattice_row(params: KernelParams, tol: float, m: int) -> tuple:
+    """The row of m of ``_Evaluator.lattice``, in a worker process. Its
     NonConvergenceError names m here: the pool drops a failing chunk's rows,
     so the caller cannot count them."""
+    k = math.sqrt(m)
     try:
-        return _Evaluator(params, tol).hybrid(math.sqrt(m), m)
+        return (m, k) + _Evaluator(params, tol).hybrid(k, m)
     except NonConvergenceError as exc:
         raise _lattice_failure(m, exc) from exc
 
 
 def _lattice_entries(params: KernelParams, kmax: int, tol: float, jobs: int):
-    """The ``(m, EvalResult)`` entries of ``lattice_spectrum``, ascending in
-    m, from arguments checked before the first. In one process they are
+    """The rows of ``_Evaluator.lattice`` over the lattice, ascending in m,
+    from arguments checked before the first. In one process they are
     computed as they are read, with no object kept per m; worker processes
     compute them all, from the list of m, before the first is read."""
     _check_params(params)
@@ -527,11 +528,10 @@ def _lattice_entries(params: KernelParams, kmax: int, tol: float, jobs: int):
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 # results arrive in the order of ms
-                rows = list(pool.map(
+                return list(pool.map(
                     _lattice_row, itertools.repeat(params), itertools.repeat(tol), ms,
                     chunksize=max(1, len(ms) // (jobs * 8)),
                 ))
-            return zip(ms, rows)
     return _Evaluator(params, tol).lattice(ms)
 
 
@@ -554,13 +554,13 @@ def lattice_spectrum(
     about 4e-16 relative. In one process the series rows with m > 0 go from
     the evaluator's ``lattice`` loop straight to the series kernel, the
     other rows, as every row of a worker, through ``hybrid``. A
-    NonConvergenceError names its m. The table holds one entry per m; the
-    ``spectrum`` command writes the same rows from the same loop as they
-    are computed, and holds none.
+    NonConvergenceError names its m. The table holds one entry per m, made
+    from the loop's row; the ``spectrum`` command writes the same rows from
+    the same loop as they are computed, and holds none.
     """
-    return SpectrumTable(
-        params=params, kmax=kmax, entries=dict(_lattice_entries(params, kmax, tol, jobs))
-    )
+    rows = _lattice_entries(params, kmax, tol, jobs)
+    entries = {row[0]: tuple.__new__(EvalResult, row[2:]) for row in rows}
+    return SpectrumTable(params=params, kmax=kmax, entries=entries)
 
 
 def _wavevector(kvec, d: int) -> tuple[int, ...]:

@@ -656,7 +656,81 @@ def test_spectrum_without_jobs_starts_no_pool(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+def _cli_process(argv, block_mpmath=False):
+    """``nlspectra *argv`` in a fresh interpreter on this checkout's source.
+    With ``block_mpmath`` an import of mpmath fails there, as it does where
+    the package is installed without its ``oracle`` extra."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys\n"
+        + ("sys.modules['mpmath'] = None\n" if block_mpmath else "")
+        + "from nlspectra.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+
+
+_TABLE_ARGV = ["table", "--d", "3", "--alpha-min", "0.5", "--alpha-max", "4.5",
+               "--alpha-steps", "3", "--kdelta-min", "1", "--kdelta-max", "60",
+               "--kdelta-steps", "4"]
+_PHASE_ARGV = ["phase", "--alpha", "0.5", "--beta", "1.5", "--order", "12", "--re-min", "-3",
+               "--re-max", "2", "--im-min", "-2", "--im-max", "2", "--nx", "4", "--ny", "3"]
+
+
+def test_commands_run_without_mpmath(tmp_path, capsys):
+    # mpmath is the oracle extra: without it every command but
+    # table --with-oracle gives the output it gives with it
+    argv = ["eval", "--d", "3", "--alpha", "2", "--delta", "1", "--k", "45"]
+    assert main(argv) == 0
+    proc = _cli_process(argv, block_mpmath=True)
+    assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
+    for name, argv in [
+        ("s.csv", ["spectrum", "--d", "2", "--alpha", "3.9", "--delta", "0.25", "--kmax", "24"]),
+        ("t.csv", _TABLE_ARGV),
+        ("p.csv", _PHASE_ARGV),
+    ]:
+        here, there = tmp_path / f"here_{name}", tmp_path / f"there_{name}"
+        assert main(argv + ["--out", str(here)]) == 0
+        proc = _cli_process(argv + ["--out", str(there)], block_mpmath=True)
+        assert proc.returncode == 0, proc.stderr
+        assert there.read_bytes() == here.read_bytes(), argv[0]
+    out = tmp_path / "oracle.csv"
+    proc = _cli_process(_TABLE_ARGV + ["--with-oracle", "--out", str(out)], block_mpmath=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "nlspectra[oracle]" in proc.stderr
+    assert not list(tmp_path.glob("oracle.csv*"))
+
+
+def test_one_process_runs_each_command_as_a_fresh_one(tmp_path):
+    # the parser is built once per process: each call parses its own argv,
+    # after any earlier command, failed or not
+    commands = [
+        (0, "a.csv", ["spectrum", "--d", "2", "--alpha", "1.5", "--delta", "0.5", "--kmax", "12"]),
+        (0, "b.csv", _PHASE_ARGV),
+        (2, None, ["eval", "--d", "11", "--alpha", "1", "--delta", "1", "--k", "1"]),
+        (0, "c.json", ["spectrum", "--d", "3", "--alpha", "4.9", "--delta", "2",
+                       "--kmax", "5", "--tol", "1e-8", "--format", "json"]),
+        (0, "d.csv", _TABLE_ARGV + ["--method", "hybrid"]),
+    ]
+    for rc, name, argv in commands:
+        if name is not None:
+            argv = argv + ["--out", str(tmp_path / f"one_{name}")]
+        assert main(argv) == rc, argv
+    for rc, name, argv in commands:
+        if name is not None:
+            argv = argv + ["--out", str(tmp_path / f"own_{name}")]
+        proc = _cli_process(argv)
+        assert proc.returncode == rc, proc.stderr
+        if name is not None:
+            one = (tmp_path / f"one_{name}").read_bytes()
+            assert one and one == (tmp_path / f"own_{name}").read_bytes(), name
+
+
+README =os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def _readme_commands():

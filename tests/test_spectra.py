@@ -25,6 +25,7 @@ from nlspectra import (
     spectra,
 )
 from nlspectra._backend import kernels
+from nlspectra.cli import EIGENROW_FIELDS, _write_rows
 from nlspectra.drummond import HypTerm2F0, TransformResult, lommel_s
 from nlspectra.oracle import (
     oracle_asy_part_a,
@@ -970,6 +971,36 @@ class TestLattice:
                         at_k.lam.hex(), at_k.terms, at_k.est_rel_err.hex()
                     ), (m, tol)
 
+    @pytest.mark.parametrize("d, alpha, delta, kmax", [(2, 3.9, 0.25, 128), (3, 2.0, 0.1, 16)])
+    def test_rows_of_any_split_equal_the_whole_run(self, tmp_path, d, alpha, delta, kmax):
+        # each eigenvalue is independent of all others: fresh evaluators over
+        # three uneven parts of the m list, the first from m = 0, give the
+        # rows of one evaluator over the whole list, and the same CSV. On the
+        # first lattice a cut falls at HYBRID_SWITCH, so the last part starts
+        # its evaluator on an asymptotic row; the second has series rows only.
+        params = KernelParams(d, alpha, delta)
+        tol = spectra.DEFAULT_TOL
+        ms = achievable_squared_norms(d, kmax)
+        first_asy = next(
+            (i for i, m in enumerate(ms) if math.sqrt(m) * delta >= HYBRID_SWITCH), None
+        )
+        cuts = [0, len(ms) // 7, first_asy or 3 * len(ms) // 5, len(ms)]
+        parts = [ms[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert parts[0][0] == 0 and len({len(part) for part in parts}) == 3
+        whole = list(spectra._Evaluator(params, tol).lattice(ms))
+        joined = [
+            row for part in parts for row in spectra._Evaluator(params, tol).lattice(part)
+        ]
+        assert joined == whole
+        methods = {row[3] for row in whole}
+        assert methods == ({"zero", "maclaurin", "asymptotic"} if first_asy else
+                           {"zero", "maclaurin"})
+        csvs = []
+        for name, rows in (("whole.csv", whole), ("joined.csv", joined)):
+            _write_rows(str(tmp_path / name), EIGENROW_FIELDS, rows, "csv", lead=params)
+            csvs.append((tmp_path / name).read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_spectrum_d2_kmax1(self):
         table = lattice_spectrum(KernelParams(2, 1.0, 0.5), 1)
         assert sorted(table.entries) == [0, 1, 2]
@@ -1084,8 +1115,9 @@ class TestLattice:
             assert str(info.value) == str(scalar.value)
 
     def test_entries_are_records(self):
-        # the lattice's loop builds its series rows with tuple.__new__, not
-        # the constructor; a record equals only a record of its own type
+        # lattice_spectrum builds its records from the loop's rows with
+        # tuple.__new__, not the constructor; a record equals only a record
+        # of its own type
         table = lattice_spectrum(KernelParams(2, 3.9, 0.8), 40)
         methods = {res.method for res in table.entries.values()}
         assert methods == {"zero", "maclaurin", "asymptotic"}
