@@ -599,9 +599,13 @@ def apply_to_fourier_coeffs(
     may differ from that table's row of m by up to about 4e-16 relative.
     A coordinate memo maps each coordinate value that passed the
     LATTICE_KMAX_LIMIT check in this call to its square, and m = |k|^2 is
-    summed from it. A key that is a plain tuple of d exact ints is checked
-    once per distinct coordinate and is its own output key; any other key
-    is checked and converted to an int tuple, which is the output key.
+    summed from it; a plain tuple of d entries is checked once per distinct
+    coordinate, when one misses the memo. An entry that hits it equals a
+    checked int, so only its type can be wrong (2.0, True, an IntEnum): one
+    scan of the output keys after the pass finds these, and only then is
+    each such key converted to its int tuple, in place. A key that is a
+    plain tuple of d exact ints is its own output key; any other key comes
+    back as its int tuple.
     Output is in the order of ``coeffs``; an invalid wavevector, or an item
     of ``coeffs.items()`` that is not a pair, raises ValueError when the
     pass reaches it.
@@ -615,32 +619,31 @@ def apply_to_fourier_coeffs(
             f"coeffs must be a mapping of wavevector to amplitude, got {type(coeffs)!r}"
         ) from None
     d = params.d
-    only_ints = {int}.issuperset
     cache: dict[int, float] = {}
     squares: dict[int, int] = {}
     square = squares.__getitem__
     out: dict[tuple[int, ...], complex] = {}
     try:
         for kvec, amp in items():
-            # the memo is looked up with exact ints only: a float or bool entry
-            # would hit it for the int it equals and stay in the output key
-            if type(kvec) is not tuple or len(kvec) != d or not only_ints(map(type, kvec)):
+            # a short key of checked coordinates would give a wrong m
+            if type(kvec) is not tuple or len(kvec) != d:
                 kvec = _wavevector(kvec, d)
             try:
                 m = sum(map(square, kvec))
-            except KeyError:  # a coordinate not checked yet in this call
-                _wavevector(kvec, d)  # for its |k|_inf check
-                for c in kvec:
+            except (KeyError, TypeError):  # a coordinate not checked yet in this call
+                kt = _wavevector(kvec, d)  # also raises on an unhashable entry
+                for c in kt:
                     squares[c] = c * c
-                m = sum(map(square, kvec))
-            lam = cache.get(m)
-            if lam is None:
+                m = sum(map(square, kt))
+            try:
+                lam = cache[m]
+            except KeyError:
                 lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
             try:
                 out[kvec] = amp * lam
             except TypeError:
                 raise ValueError(
-                    f"amplitude {amp!r} of wavevector {kvec!r} is not a number"
+                    f"amplitude {amp!r} of wavevector {_wavevector(kvec, d)!r} is not a number"
                 ) from None
     except (TypeError, ValueError) as exc:
         # only an item that does not unpack into a pair fails in this frame
@@ -655,4 +658,9 @@ def apply_to_fourier_coeffs(
                         f"coeffs.items() yielded {item!r}, not a (wavevector, amplitude) pair"
                     ) from None
         raise
+    # a memo hit is an entry equal to a checked int, so only its type can be
+    # wrong: 2.0, True, an IntEnum, Fraction(2) or Decimal(2)
+    only_ints = {int}.issuperset
+    if not only_ints(map(type, itertools.chain.from_iterable(out))):
+        out = {k if only_ints(map(type, k)) else _wavevector(k, d): v for k, v in out.items()}
     return out

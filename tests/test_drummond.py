@@ -112,6 +112,42 @@ class TestStabilityAgainstTheQuadraticForm:
                 assert not err <= 1e-6, (order, err)  # far off, or NaN
 
 
+class _CountingRows:
+    """The rows of a coefficient table, counting those read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read = 0
+
+    def __iter__(self):
+        for row in self.rows:
+            self.read += 1
+            yield row
+
+
+def test_recurrence_reads_one_row_per_order(monkeypatch):
+    # the paper's claim of linear complexity, as a count: T_0^(k) reads
+    # k - 1 coefficient rows, one multiply-add per term of N and D each,
+    # where the oracle's drummond_generic takes k(k+1)/2 difference steps
+    # (51,360 at k = 320 against 319 rows)
+    table = _purepy._coefficient_table
+    tables = []
+
+    def counting(*key):
+        rows, p_bound, q_bound = table(*key)
+        tables.append(_CountingRows(rows))
+        return tables[-1], p_bound, q_bound
+
+    term = HypTerm2F0(1.0, 1.0, 8.0)
+    for order in (40, 80, 160, 320):
+        expected = drummond_2f0_at_order(term, 0, order)
+        monkeypatch.setattr(_purepy, "_coefficient_table", counting)
+        tables.clear()
+        assert drummond_2f0_at_order(term, 0, order) == expected
+        monkeypatch.undo()
+        assert [rows.read for rows in tables] == [order - 1], order
+
+
 class TestDrummond2F0:
     def test_terminating_trivial(self):
         res = drummond_2f0(HypTerm2F0(-1.0, 1.0, 2.0))

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import namedtuple
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 
@@ -58,6 +59,10 @@ RECORDS = [
      "TransformResult(value=0.5, order=12, converged=True, est_rel_err=1e-16)"),
 ]
 RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+class _Level(IntEnum):
+    TWO = 2
 
 
 def rel(got, ref):
@@ -265,6 +270,27 @@ class TestLambdaMaclaurin:
             for kd in [0.1, 2.0, 5.9]:
                 res = lambda_maclaurin(params, kd)
                 assert rel(res.lam, oracle_lambda_maclaurin(params, kd)) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_accuracy_follows_tol(self, d):
+        # the paper's claim that accuracy is individually controllable: at
+        # each tol the estimate meets it, the true error meets the estimate,
+        # a looser tol takes no more terms and 1e-4 fewer than 10 eps (all
+        # 800 cases of d = 1..10)
+        tols = (10 * EPS, 1e-12, 1e-8, 1e-4)
+        for alpha in (0.0, d / 2, float(d), d + 1.9):
+            params = KernelParams(d, alpha, 0.25)
+            for kd in (0.01, 0.5, 3.0, 10.0, 39.0):
+                ref = oracle_lambda_maclaurin(params, kd / 0.25)
+                terms = []
+                for tol in tols:
+                    res = lambda_maclaurin(params, kd / 0.25, tol)
+                    err = abs((mp.mpf(res.lam) - ref) / ref)
+                    assert res.est_rel_err <= tol and err <= res.est_rel_err, (alpha, kd, tol)
+                    terms.append(res.terms)
+                assert terms == sorted(terms, reverse=True) and terms[0] > terms[-1], (
+                    alpha, kd, terms
+                )
 
     def test_overflowing_argument_is_nonconvergence(self):
         # (k*delta)^2 leaves the double range before the first term
@@ -1250,6 +1276,12 @@ class TestApplyToFourierCoeffs:
         ):
             apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), {(0, 1): 1.0, (1, 0): amp})
 
+    def test_amplitude_error_names_the_int_tuple_of_a_bool_key(self):
+        with pytest.raises(
+            ValueError, match=r"amplitude 'x' of wavevector \(1, 0\) is not a number"
+        ):
+            apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), {(0, 1): 1.0, (True, 0): "x"})
+
     @pytest.mark.parametrize("item", [((1, 0),), ((1, 0), 1.0, 2.0), 5])
     def test_item_that_is_not_a_pair_rejected(self, item):
         class Items:
@@ -1298,6 +1330,39 @@ class TestApplyToFourierCoeffs:
             out = apply_to_fourier_coeffs(params, coeffs)
             assert all(type(k) is tuple for k in out)
             assert list(out) == [tuple(k) for k in coeffs]
+
+    @pytest.mark.parametrize(
+        "entry", [2.0, True, _Level.TWO, Fraction(2), Decimal(2)], ids=repr
+    )
+    def test_entry_equal_to_a_checked_int_comes_back_as_that_int(self, entry):
+        # (0, n) puts the entry's int twin n in the memo, so (entry, 0) hits
+        # it and only the scan after the pass sees the entry's type; (1, entry)
+        # misses on 1 where n = 2
+        params = KernelParams(2, 1.0, 0.5)
+        n = int(entry)
+        coeffs = {(0, n): 1.0, (entry, 0): 2.0, (1, entry): 3.0, (3, 1): 4.0}
+        twin = {(0, n): 1.0, (n, 0): 2.0, (1, n): 3.0, (3, 1): 4.0}
+        out = apply_to_fourier_coeffs(params, coeffs)
+        assert list(out.items()) == list(apply_to_fourier_coeffs(params, twin).items())
+        assert all(type(c) is int for k in out for c in k)
+        first, _, _, last = coeffs
+        assert list(out)[0] is first and list(out)[3] is last
+
+    def test_unhashable_entry_named(self):
+        # (1, [0]) hits the memo on 1 and then cannot hash [0]
+        class Pairs:
+            def __init__(self, *pairs):
+                self.pairs = pairs
+
+            def items(self):
+                return iter(self.pairs)
+
+        params = KernelParams(2, 1.0, 0.5)
+        for pairs in ([((1, [0]), 1.0)], [((1, 0), 1.0), ((1, [0]), 1.0)]):
+            with pytest.raises(
+                ValueError, match=re.escape("wavevector (1, [0]) is not a sequence of numbers")
+            ):
+                apply_to_fourier_coeffs(params, Pairs(*pairs))
 
     def test_exact_int_keys_are_the_output_keys(self):
         keys = list(itertools.product(range(-300, 301, 150), repeat=3))
