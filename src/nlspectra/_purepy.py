@@ -279,7 +279,7 @@ def _series_table(d, alpha, p, g):
     and |S| >~ 5 / x^2 (``maclaurin_lambda``): every call's N + 1 is a row.
     Built whole and never changed; at most 32 are kept, and a lattice
     spectrum uses about 18, one per (p, g) it reaches."""
-    an, aq = float(alpha).as_integer_ratio()
+    an, aq = alpha.as_integer_ratio()
     c_1 = (d + 2) * aq - an  # c_1 aq
     c, den, q, r = c_1, 1, c_1 << p, 0
     rows, logs = [0], [0.0]
@@ -301,7 +301,7 @@ def maclaurin_constants(d, alpha, delta, tol):
     (d, alpha, delta, dn^2 and shift with delta^2 / 2 = dn^2 / 2^shift
     exactly, log2 tol less _STOP_MARGIN_BITS, and the part of the first
     stopping goal free of k)."""
-    dn, dq = float(delta).as_integer_ratio()
+    dn, dq = delta.as_integer_ratio()
     log_tol = (math.log2(tol) if tol < 0.5 else -1.0) - _STOP_MARGIN_BITS
     # dq is a power of 2
     shift = 2 * dq.bit_length() - 1
@@ -363,7 +363,7 @@ def maclaurin_lambda(constants, k, m=None):
     x = k * delta
     if m is None:
         # kq is a power of 2, so 2y = y_num / 2^shift
-        kn, kq = float(k).as_integer_ratio()
+        kn, kq = k.as_integer_ratio()
         y_num = kn * kn * dn2
         shift += 2 * kq.bit_length() - 2
     else:

@@ -153,7 +153,7 @@ def _cmd_table(args) -> int:
         raise ValueError(f"alpha-max must be < d+2 = {d + 2}")
     if not (0.0 < args.kdelta_min <= args.kdelta_max < math.inf):
         raise ValueError("need 0 < --kdelta-min <= --kdelta-max < inf")
-    _check_tol(args.tol)
+    tol = _check_tol(args.tol)
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
     kds = _grid(args.kdelta_min, args.kdelta_max, args.kdelta_steps)
 
@@ -177,7 +177,7 @@ def _cmd_table(args) -> int:
     def rows():
         for alpha in alphas:
             params = KernelParams(d, alpha, 1.0)
-            ev = _Evaluator(params, args.tol)
+            ev = _Evaluator(params, tol)
             route_fns = {"mac": ev.maclaurin, "asy": ev.asymptotic, "hybrid": ev.hybrid}
             for kd in kds:
                 ref = None

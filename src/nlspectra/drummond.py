@@ -91,25 +91,6 @@ class TransformResult(_Record, namedtuple("TransformResult", "value order conver
     __slots__ = ()
 
 
-def _terminal_index(alpha, beta, z, n: int, order: int | None, shown) -> int | None:
-    """Validate (alpha, beta, z) and screen for termination.
-
-    ``alpha``, ``beta`` and ``z`` are all float or all complex; ``shown``
-    holds them as the caller gave them, for the error messages. Returns m
-    when the wanted approximant is the terminal partial sum s_m: with alpha
-    or beta = -m the weights a_{n+1}..a_{n+order+1} contain a vanishing term
-    once n + order >= m (``order=None``: at any order). Otherwise None.
-    """
-    if z == 0:
-        raise ValueError("z = 0: the series has no meaningful resummation")
-    if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, got {shown[2]}")
-    m = _terminating_at(alpha, beta, shown)
-    if m is not None and (order is None or n + order >= m):
-        return m
-    return None
-
-
 def _terminating_at(alpha, beta, shown) -> int | None:
     """The least m where alpha or beta is the nonpositive integer -m, so that
     a_k = 0 for all k > m; else None. ValueError, naming ``shown``, where
@@ -128,14 +109,22 @@ def _kernel_args(
     arguments and screen for termination.
 
     Returns (args, m). ``args`` is (alpha, beta, z), all float when the
-    parameters are real and all complex when not; ``m`` is the terminal
-    index of ``_terminal_index``.
+    parameters are real and all complex when not. ``m`` is set when the
+    wanted approximant is the terminal partial sum s_m: with alpha or beta
+    = -m the weights a_{n+1}..a_{n+order+1} contain a vanishing term once
+    n + order >= m (``order=None``: at any order). Otherwise it is None.
     """
     _check_int("n", n, 0, ORDER_LIMIT)
-    alpha = _number("alpha", term.alpha, complex)
-    beta = _number("beta", term.beta, complex)
-    z = _number("z", term.z, complex)
-    m = _terminal_index(alpha, beta, z, n, order, (term.alpha, term.beta, term.z))
+    alpha = _number(term.alpha, complex, "alpha")
+    beta = _number(term.beta, complex, "beta")
+    z = _number(term.z, complex, "z")
+    if z == 0:
+        raise ValueError("z = 0: the series has no meaningful resummation")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {term.z}")
+    m = _terminating_at(alpha, beta, term)
+    if m is not None and order is not None and n + order < m:
+        m = None
     if alpha.imag == 0.0 and beta.imag == 0.0 and z.imag == 0.0:
         return (alpha.real, beta.real, z.real), m
     return (alpha, beta, z), m
@@ -187,28 +176,34 @@ def _underflow_error(term: HypTerm2F0, n: int) -> ValueError:
     )
 
 
-def _check_tol(tol: float) -> None:
-    try:
-        ok = tol >= sys.float_info.epsilon
-    except TypeError:  # not a real number
-        ok = False
-    if not ok:
+def _check_tol(tol) -> float:
+    """The float of ``tol``, or a ValueError naming it where that is not a
+    number or lies below machine epsilon."""
+    t = _number(tol)
+    if t is None or not t >= sys.float_info.epsilon:
         raise ValueError(f"tol must be >= machine epsilon, got {tol!r}")
+    return t
 
 
-def _number(name: str, value, kind):
-    """kind(value), ``kind`` being float or complex, or a ValueError naming
-    the argument where that is not a number (a string, which kind() would
-    parse, included) or lies beyond the double range."""
+def _number(value, kind=float, name: str | None = None):
+    """kind(value), ``kind`` being float or complex: the package's one
+    conversion of a numeric argument. None where value is not a number (a
+    string, which kind() would parse, or a value kind() rejects, such as a
+    signaling NaN) or lies beyond the double range (an int or Fraction that
+    kind() cannot round); with ``name``, a ValueError naming the argument."""
+    why = None
     if not isinstance(value, str):
         try:
             return kind(value)
-        except TypeError:
+        except (TypeError, ValueError):
             pass
-        except OverflowError:  # an int beyond the double range
-            raise ValueError(f"{name} must lie within the double range, got {value!r}") from None
-    what = "a real number" if kind is float else "a number"
-    raise ValueError(f"{name} must be {what}, got {value!r}")
+        except OverflowError:
+            why = "lie within the double range"
+    if name is None:
+        return None
+    if why is None:
+        why = "be a real number" if kind is float else "be a number"
+    raise ValueError(f"{name} must {why}, got {value!r}")
 
 
 def _check_int(name: str, value, low: int, high: float = math.inf) -> None:
@@ -236,8 +231,10 @@ def drummond_2f0(
     with ``converged=False`` and ``est_rel_err=inf``. On hitting ``k_max``
     the best value is returned with ``converged=False``; no exception is
     raised. ``k_max`` lies in [2, ORDER_LIMIT] and ``n`` in [0, ORDER_LIMIT].
+    tol and the parameters may be any number float() (complex()) converts
+    but a str; the resummation sees only that value.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _check_int("k_max", k_max, 2, ORDER_LIMIT)
     args, m = _kernel_args(term, n, None)
     try:
@@ -274,14 +271,14 @@ def _lommel_terms(mu: float, nu: float) -> tuple:
 def _lommel(terms: tuple, x: float, tol: float) -> TransformResult:
     """Resummation of S_{mu,nu}(x) from its ``_lommel_terms``; its ``value``
     is S itself. Float arguments only; ``tol`` is taken as already checked.
-    Raises ValueError at tiny x: "z = 0" where z underflows, or one naming x
-    where x^(mu-1) overflows. The estimate adds eps |mu-1| |ln x| to the
+    Raises ValueError naming x at tiny x, where z = x^2/4 underflows to 0
+    or x^(mu-1) overflows. The estimate adds eps |mu-1| |ln x| to the
     resummation's, for the rounded exponent of x^(mu-1).
     """
     mu, a, b, m = terms
     z = 0.25 * x * x
     if z == 0.0:
-        raise ValueError("z = 0: the series has no meaningful resummation")
+        raise _tiny_argument_error(x)
     value, order, converged, est = _resum((a, b, z), m, 0, tol, DEFAULT_KMAX)
     try:
         value *= x ** (mu - 1.0)
@@ -313,13 +310,13 @@ def lommel_s(mu: float, nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     the estimate of the resummation. Raises ValueError naming x where x is
     so small that z = x^2/4 underflows to 0 or x^(mu-1) overflows, or where
     z is not finite, and naming mu, nu or x where it is not a real number.
+    mu, nu, x and tol may be any number float() converts but a str; the
+    resummation sees only their float().
     """
-    mu, nu, x = _number("mu", mu, float), _number("nu", nu, float), _number("x", x, float)
+    mu, nu, x = _number(mu, float, "mu"), _number(nu, float, "nu"), _number(x, float, "x")
     if x <= 0.0:
         raise ValueError(f"lommel_s requires x > 0, got {x}")
-    _check_tol(tol)
-    if 0.25 * x * x == 0.0:
-        raise _tiny_argument_error(x)
+    tol = _check_tol(tol)
     if not 0.25 * x * x < math.inf:
         raise ValueError(f"z must be finite, got x^2/4 at x={x!r}")
     res = _lommel(_lommel_terms(mu, nu), x, min(tol, DEFAULT_TOL))

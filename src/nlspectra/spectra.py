@@ -38,7 +38,9 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from ._backend import kernels as _k
-from .drummond import DEFAULT_TOL, _check_int, _check_tol, _lommel, _lommel_terms, _Record
+from .drummond import (
+    DEFAULT_TOL, _check_int, _check_tol, _lommel, _lommel_terms, _number, _Record,
+)
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -104,27 +106,22 @@ class KernelParams(_Record, namedtuple("KernelParams", "d alpha delta")):
     The kernel is normalized so the operator converges to the Laplacian as
     delta -> 0; admissibility requires 0 <= alpha < d+2. The cap
     d <= D_MAX = 10 keeps Bessel J inside the orders the tests verify:
-    d/2 - 1 and d/2 - 2, within -3/2..4. ``_replace`` validates as the
-    constructor does.
+    d/2 - 1 and d/2 - 2, within -3/2..4. alpha and delta are stored as
+    their float(): any number float() converts but a str is accepted, and
+    rounded once, here. ``_replace`` validates as the constructor does.
     """
 
     __slots__ = ()
 
     def __new__(cls, d: int, alpha: float, delta: float):
         _check_int("d", d, 1, D_MAX)
-        try:
-            ok = 0.0 <= alpha < d + 2
-        except TypeError:  # not a real number
-            ok = False
-        if not ok:
+        a = _number(alpha)
+        if a is None or not 0.0 <= a < d + 2:
             raise ValueError(f"alpha must be in [0, d+2) = [0, {d + 2}), got {alpha!r}")
-        try:
-            ok = 0.0 < delta <= _HUGE
-        except TypeError:
-            ok = False
-        if not ok:
+        dl = _number(delta)
+        if dl is None or not 0.0 < dl <= _HUGE:
             raise ValueError(f"delta must be positive and finite, got {delta!r}")
-        return tuple.__new__(cls, (d, alpha, delta))
+        return tuple.__new__(cls, (d, a, dl))
 
     @classmethod
     def _make(cls, iterable):
@@ -159,15 +156,13 @@ def _check_params(params: KernelParams) -> None:
         raise ValueError(f"params must be KernelParams, got {type(params)!r}")
 
 
-def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> None:
+def _check_eval_args(params: KernelParams, k_mod: float, tol: float) -> tuple[float, float]:
+    """The floats (k_mod, tol) of checked arguments of the ``lambda_*``."""
     _check_params(params)
-    try:
-        ok = 0.0 <= k_mod <= _HUGE
-    except TypeError:  # not a real number
-        ok = False
-    if not ok:
+    k = _number(k_mod)
+    if k is None or not 0.0 <= k <= _HUGE:
         raise ValueError(f"k_mod must be finite and >= 0, got {k_mod!r}")
-    _check_tol(tol)
+    return k, _check_tol(tol)
 
 
 def lambda_maclaurin(
@@ -183,9 +178,11 @@ def lambda_maclaurin(
     raised at once; where |lambda| exceeds it, ValueError. Where lambda
     falls below the normal doubles (a tiny k), ``est_rel_err`` is inf. The
     end of the coefficient table, which no tol >= eps reaches, also raises
-    NonConvergenceError.
+    NonConvergenceError. k_mod and tol, as the arguments of every
+    ``lambda_*``, may be any number float() converts but a str; the route
+    sees only their float().
     """
-    _check_eval_args(params, k_mod, tol)
+    k_mod, tol = _check_eval_args(params, k_mod, tol)
     return _Evaluator(params, tol).maclaurin(k_mod)
 
 
@@ -290,9 +287,10 @@ def lambda_asymptotic(
     double range there. Where |lambda| exceeds the double range, ValueError
     says so; where it falls below the normal doubles, ``est_rel_err`` is inf.
     Below k*delta = ASYMPTOTIC_KDELTA_MIN (5), beyond the route's reach, the
-    value comes back as computed, with ``est_rel_err`` = inf.
+    value comes back as computed, with ``est_rel_err`` = inf. k_mod and tol
+    are converted with float() as in ``lambda_maclaurin``.
     """
-    _check_eval_args(params, k_mod, tol)
+    k_mod, tol = _check_eval_args(params, k_mod, tol)
     return _Evaluator(params, tol).asymptotic(k_mod)
 
 
@@ -301,9 +299,10 @@ def lambda_hybrid(
 ) -> EvalResult:
     """Eigenvalue by the cheaper route at this k*delta: the series below
     HYBRID_SWITCH, the asymptotic form from it on, exact zero for the
-    constant mode. Both are accurate on either side of the switch.
+    constant mode. Both are accurate on either side of the switch. k_mod
+    and tol are converted with float() as in ``lambda_maclaurin``.
     """
-    _check_eval_args(params, k_mod, tol)
+    k_mod, tol = _check_eval_args(params, k_mod, tol)
     return _Evaluator(params, tol).hybrid(k_mod)
 
 
@@ -518,7 +517,7 @@ def _lattice_entries(params: KernelParams, kmax: int, tol: float, jobs: int):
     _check_params(params)
     _check_int("kmax", kmax, 0, LATTICE_KMAX_LIMIT)
     _check_int("jobs", jobs, 1)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     ms = _squared_norms(params.d, kmax)
     if jobs > 1:
         ms = list(ms)
@@ -611,7 +610,7 @@ def apply_to_fourier_coeffs(
     pass reaches it.
     """
     _check_params(params)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     try:
         items = coeffs.items
     except AttributeError:

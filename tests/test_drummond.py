@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+import re
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,16 @@ from nlspectra.oracle import (
     oracle_drummond_bigfloat,
     oracle_lommel,
 )
+
+
+def _float64(x):
+    np = pytest.importorskip("numpy")
+    return np.float64(x)
+
+
+#: Each numeric type an entry converts with float(), besides float itself.
+NUMBER_TYPES = [Decimal, Fraction, int, _float64]
+NUMBER_TYPE_IDS = ["Decimal", "Fraction", "int", "float64"]
 
 
 def rel(got, ref):
@@ -281,13 +293,15 @@ class TestDrummond2F0:
         assert math.isnan(res.value) and not res.converged
         assert math.isnan(drummond_2f0_at_order(term, ORDER_LIMIT, 3))
 
-    @pytest.mark.parametrize("value", ["1", None])
+    @pytest.mark.parametrize("value", ["1", None, Decimal("sNaN")])
     @pytest.mark.parametrize("name", ["alpha", "beta", "z"])
     def test_parameters_that_are_not_numbers_rejected_by_name(self, name, value):
-        # complex() would parse the string as 1
+        # complex() would parse the string as 1, and raise a bare ValueError
+        # on a signaling NaN
         term = HypTerm2F0(**{"alpha": 1.0, "beta": 1.0, "z": 2.0, name: value})
+        message = re.escape(f"{name} must be a number, got {value!r}")
         for call in (lambda: drummond_2f0(term), lambda: drummond_2f0_at_order(term, 0, 3)):
-            with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "z"])
@@ -303,6 +317,22 @@ class TestDrummond2F0:
         res = drummond_2f0(HypTerm2F0(1.0, 1.0, 0.01), k_max=40)
         assert not res.converged
         assert res.est_rel_err > 0
+
+    @pytest.mark.parametrize("kind", NUMBER_TYPES, ids=NUMBER_TYPE_IDS)
+    @pytest.mark.parametrize("name", ["alpha", "beta", "z", "tol"])
+    def test_numbers_give_the_bits_of_their_float_twin(self, name, kind):
+        # an int value is integral, so its tol >= 1; the other values are not
+        values = {"alpha": (0.75, 2), "beta": (1.5, 3), "z": (7.25, 8), "tol": (1e-10, 1)}
+        x = values[name][kind is int]
+        twin = dict(alpha=1.0, beta=1.0, z=8.0, tol=1e-12)
+        given = dict(twin)
+        twin[name], given[name] = float(x), kind(x)
+
+        def result(tol, **params):
+            term = HypTerm2F0(**params)
+            return repr((drummond_2f0(term, tol=tol), drummond_2f0_at_order(term, 0, 12)))
+
+        assert result(**given) == result(**twin)
 
 
 class TestTerminatingCap:
@@ -738,11 +768,22 @@ class TestLommel:
     @pytest.mark.parametrize(
         "args, name",
         [((1.0, 1.0, "2"), "x"), (("1", 1.0, 2.0), "mu"), ((None, 1.0, 2.0), "mu"),
-         ((1.0, 1j, 2.0), "nu")],
+         ((1.0, 1j, 2.0), "nu"), ((Decimal("sNaN"), 1.0, 2.0), "mu")],
     )
     def test_arguments_that_are_not_real_numbers_rejected_by_name(self, args, name):
         with pytest.raises(ValueError, match=f"{name} must be a real number, got "):
             lommel_s(*args)
+
+    @pytest.mark.parametrize("kind", NUMBER_TYPES, ids=NUMBER_TYPE_IDS)
+    @pytest.mark.parametrize("name", ["mu", "nu", "x", "tol"])
+    def test_numbers_give_the_bits_of_their_float_twin(self, name, kind):
+        # an int value is integral, so its tol >= 1; the other values are not
+        values = {"mu": (-0.25, 0), "nu": (0.75, 1), "x": (12.5, 12), "tol": (1e-10, 1)}
+        x = values[name][kind is int]
+        twin = dict(mu=-0.5, nu=0.5, x=10.0, tol=1e-12)
+        given = dict(twin)
+        twin[name], given[name] = float(x), kind(x)
+        assert repr(lommel_s(**given)) == repr(lommel_s(**twin))
 
     @pytest.mark.parametrize("x", [1e-150, 1e-170, 5e-324])
     def test_tiny_argument_named(self, x):

@@ -27,7 +27,7 @@ from nlspectra import (
 )
 from nlspectra._backend import kernels
 from nlspectra.cli import EIGENROW_FIELDS, _write_rows
-from nlspectra.drummond import HypTerm2F0, TransformResult, lommel_s
+from nlspectra.drummond import HypTerm2F0, TransformResult, drummond_2f0, lommel_s
 from nlspectra.oracle import (
     oracle_asy_part_a,
     oracle_closed_form_d1_a0,
@@ -65,6 +65,16 @@ class _Level(IntEnum):
     TWO = 2
 
 
+def _float64(x):
+    np = pytest.importorskip("numpy")
+    return np.float64(x)
+
+
+#: Each numeric type an entry converts with float(), besides float itself.
+NUMBER_TYPES = [Decimal, Fraction, int, _float64]
+NUMBER_TYPE_IDS = ["Decimal", "Fraction", "int", "float64"]
+
+
 def rel(got, ref):
     ref = float(ref)
     if ref == 0.0:
@@ -75,6 +85,35 @@ def rel(got, ref):
 class TestKernelParams:
     def test_valid(self):
         KernelParams(3, 2.0, 1.0)
+
+    @pytest.mark.parametrize("kind", NUMBER_TYPES, ids=NUMBER_TYPE_IDS)
+    def test_stored_as_floats(self, kind):
+        params = KernelParams(3, kind(2), kind(1))
+        assert tuple(params) == (3, 2.0, 1.0)
+        assert type(params.alpha) is float and type(params.delta) is float
+        assert repr(params) == "KernelParams(d=3, alpha=2.0, delta=1.0)"
+
+    @pytest.mark.parametrize("kind", NUMBER_TYPES, ids=NUMBER_TYPE_IDS)
+    @pytest.mark.parametrize("name", ["alpha", "delta", "k_mod", "tol"])
+    def test_numbers_give_the_bits_of_their_float_twin(self, name, kind):
+        # an int value is integral, so its tol >= 1; the other values are not
+        values = {"alpha": (1.25, 2), "delta": (2.5, 2), "k_mod": (3.5, 3), "tol": (1e-10, 1)}
+        x = values[name][kind is int]
+        twin = dict(alpha=1.0, delta=2.0, k_mod=3.0, tol=1e-12)
+        given = dict(twin)
+        twin[name], given[name] = float(x), kind(x)
+
+        def results(alpha, delta, k_mod, tol):
+            p = KernelParams(3, alpha, delta)
+            # k*delta = 6 to 8.75 takes the series, 20 times that the asymptotic form
+            evals = [f(p, k, tol) for f in (lambda_maclaurin, lambda_asymptotic, lambda_hybrid)
+                     for k in (k_mod, 20 * k_mod)]
+            # |k| reaches 12 sqrt(3), k*delta 41.6 and more: both routes
+            table = lattice_spectrum(p, 12, tol)
+            coeffs = {(1, 0, 0): 1.0, (2, 1, 0): 0.5j, (12, 12, 12): 2.0}
+            return repr((evals, table, apply_to_fourier_coeffs(p, coeffs, tol)))
+
+        assert results(**given) == results(**twin)
 
     @pytest.mark.parametrize(
         "d, alpha, delta",
@@ -128,9 +167,14 @@ class TestKernelParams:
              f"k_mod must be finite and >= 0, got {10**400}"),
             (lambda: lommel_s(1.0, 1.0, 10**400),
              f"x must lie within the double range, got {10**400}"),
+            (lambda: lambda_hybrid(KernelParams(3, 1.0, 1.0), 2.0, 10**400),
+             f"tol must be >= machine epsilon, got {10**400}"),
+            (lambda: drummond_2f0(HypTerm2F0(1, 1, 10), tol=10**400),
+             f"tol must be >= machine epsilon, got {10**400}"),
         ],
         ids=["alpha-str", "delta-none", "k-str", "k-complex", "tol-none", "lommel-x-inf",
-             "delta-huge-int", "k-huge-int", "lommel-x-huge-int"],
+             "delta-huge-int", "k-huge-int", "lommel-x-huge-int", "tol-huge-int",
+             "drummond-tol-huge-int"],
     )
     def test_argument_errors_name_the_argument(self, call, message):
         # a value that does not compare with floats is a ValueError, not a
