@@ -1,5 +1,5 @@
-"""Evaluation kernels: gamma, log-gamma ratio, digamma, Bessel J, the
-Maclaurin series and the Drummond recurrence.
+"""Evaluation kernels: gamma, log-gamma ratio, digamma at the half-integers
+d/2, Bessel J, the Maclaurin series and the Drummond recurrence.
 
 The only implementation of the numerics; ``drummond`` and ``spectra`` reach
 it through ``nlspectra._backend.kernels``. Functions here assume their
@@ -104,21 +104,15 @@ def log_gamma_ratio(z, eps):
     )
 
 
-def digamma(x):
-    # Shift x above 10, then the Bernoulli asymptotic series; truncation
-    # below 1e-15 for x >= 10.
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    w = 1.0 / (x * x)
-    t = 691.0 / 32760.0 - w * (1.0 / 12.0)
-    t = 1.0 / 132.0 - w * t
-    t = 1.0 / 240.0 - w * t
-    t = 1.0 / 252.0 - w * t
-    t = 1.0 / 120.0 - w * t
-    t = 1.0 / 12.0 - w * t
-    return acc + math.log(x) - 0.5 / x - w * t
+def digamma_half_integer(z):
+    """psi(z) at z = d/2, d >= 1 an integer, the only argument the kernels
+    take: from psi(1) = -EULER_GAMMA or psi(1/2) = -EULER_GAMMA - 2 log 2,
+    rounded once, by the recurrence psi(w+1) = psi(w) + 1/w."""
+    w, psi = (1.0, -EULER_GAMMA) if z.is_integer() else (0.5, -1.9635100260214235)
+    while w < z:
+        psi += 1.0 / w
+        w += 1.0
+    return psi
 
 
 def _bessel_backward(two_nu, x):
@@ -242,21 +236,21 @@ def _log_gamma_ratios(x, z):
     return log_gamma_ratio(0.0, x), log_gamma_ratio(z - 1.0, -x)
 
 
-def gamma_part_exponent(x, log_y, z):
-    """log[y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x)], from log y so that y
-    itself may lie outside the double range."""
-    lg_a, lg_b = _log_gamma_ratios(x, z)
-    return 2.0 * x * log_y + lg_a - lg_b
-
-
 def stable_prefactor(x, log_y, z):
-    # (f, t): f(x, y, z) = [y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x) - 1] / x
-    # = expm1(t) / x from log y, t the exponent of the gamma ratio; at x = 0
-    # the removable singularity is evaluated exactly and t = 0.
+    """(f, t): f(x, y, z) = [y^(2x) Gamma(x+1) Gamma(z) / Gamma(z-x) - 1] / x
+    = expm1(t) / x, t the exponent of the gamma ratio, formed once from log y
+    so that y may lie outside the double range. Where expm1(t) overflows, f is
+    inf with the sign of x, and t comes back for the caller to go on in logs.
+    At x = 0, where z = d/2, the removable singularity is evaluated exactly
+    and t = 0."""
     if x == 0.0:
-        return 2.0 * log_y - EULER_GAMMA + digamma(z), 0.0
-    t = gamma_part_exponent(x, log_y, z)
-    return math.expm1(t) / x, t
+        return 2.0 * log_y - EULER_GAMMA + digamma_half_integer(z), 0.0
+    lg_a, lg_b = _log_gamma_ratios(x, z)
+    t = 2.0 * x * log_y + lg_a - lg_b
+    try:
+        return math.expm1(t) / x, t
+    except OverflowError:
+        return math.copysign(math.inf, x), t
 
 
 @functools.lru_cache(maxsize=32)

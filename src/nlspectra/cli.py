@@ -121,9 +121,14 @@ def _cmd_eval(args) -> int:
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` points lo + i (hi - lo) / (steps - 1), the last hi itself;
+    ValueError where (steps - 1) (hi - lo) leaves the double range."""
     if steps == 1:
         return [lo]
-    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    if abs((steps - 1) * (hi - lo)) == math.inf:
+        raise ValueError(f"the grid from {lo:g} to {hi:g} in {steps} steps "
+                         f"leaves the double range")
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
 _FAILED_CELL = EvalResult(math.nan, "error", 0, math.inf)

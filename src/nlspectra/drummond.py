@@ -81,9 +81,6 @@ class HypTerm2F0(_Record, namedtuple("HypTerm2F0", "alpha beta z")):
             out.append(a)
         return out if count else []
 
-    def is_real(self) -> bool:
-        return all(complex(p).imag == 0.0 for p in (self.alpha, self.beta, self.z))
-
 
 class TransformResult(_Record, namedtuple("TransformResult", "value order converged est_rel_err")):
     """Outcome of a resummation."""

@@ -158,7 +158,7 @@ def oracle_drummond_bigfloat(term: HypTerm2F0, n: int, k: int):
     if k > 2000:
         raise ValueError("order above 2000 is outside the oracle's remit")
     with mp.workprec(_drummond_precision(k)):
-        if term.is_real():
+        if all(complex(p).imag == 0.0 for p in (term.alpha, term.beta, term.z)):
             big = mp.mpf
             params = (complex(p).real for p in (term.alpha, term.beta, term.z))
         else:

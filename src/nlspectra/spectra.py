@@ -35,7 +35,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 
 from ._backend import kernels as _k
 from .drummond import (
@@ -189,7 +189,7 @@ def lambda_maclaurin(
 def _asy_gamma_part(d: int, alpha: float, ghalf: float, log_y: float) -> tuple[float, float]:
     """(part_a, t): the gamma-ratio part of the asymptotic formula, stable
     through alpha = d, and the exponent t of its gamma ratio (0 at alpha = 0
-    and alpha = d).
+    and alpha = d); part_a is infinite where ``stable_prefactor``'s f is.
 
     With y = 2/(k*delta), the part equals
            (kd/2)^(alpha-d) Gamma((d-alpha)/2) / Gamma(alpha/2)
@@ -209,18 +209,18 @@ def _asy_gamma_part(d: int, alpha: float, ghalf: float, log_y: float) -> tuple[f
 
 
 def _huge_gamma_part_in_logs(
-    d: int, alpha: float, delta: float, log_y: float, kd: float
+    d: int, alpha: float, delta: float, t: float, kd: float
 ) -> tuple[float, float]:
     """(lambda, est_rel_err) from the gamma-ratio part alone, for alpha > d
     where exp(t) = (kd/2)^(alpha-d) Gamma(x+1) Gamma(d/2) / Gamma(d/2-x),
-    x = (d-alpha)/2, leaves the double range.
+    x = (d-alpha)/2, leaves the double range: t is the exponent that
+    ``stable_prefactor`` returned with its infinite f.
 
     Then lambda = scale * (exp(t) - 1) / (x Gamma(d/2)), and the -1 is far
     below rounding. With 2 Gamma(d/2+1) / Gamma(d/2) = d, the prefactor is
     d (d+2-alpha) / (-x delta^2) and joins the exponent as a logarithm.
     """
     x = 0.5 * (d - alpha)
-    t = _k.gamma_part_exponent(x, log_y, 0.5 * d)
     log_scale = math.log(d * (d + 2.0 - alpha) / -x) - 2.0 * math.log(delta)
     log_lam = t + log_scale
     try:
@@ -404,15 +404,14 @@ class _Evaluator:
             # applies, and it needs log(k*delta) alone
             log_y = _LOG2 - (math.log(k_mod) + math.log(delta))
 
-        try:
-            part_a, t = _asy_gamma_part(d, alpha, ghalf, log_y)
-        except OverflowError:
-            # (kd/2)^(alpha-d) left the double range. At alpha < d that is a tiny
-            # kd, where part_a and part_b cancel; at alpha > d it needs kd far
-            # beyond ASYMPTOTIC_TAIL_CUTOFF, so part_a is all of lambda
-            if alpha < d:
-                raise _intermediate_beyond_double_range(d, alpha, kd) from None
-            lam, est = _huge_gamma_part_in_logs(d, alpha, delta, log_y, kd)
+        part_a, t = _asy_gamma_part(d, alpha, ghalf, log_y)
+        if math.isinf(part_a):
+            # (kd/2)^(alpha-d), or at alpha = d log y, left the double range. At
+            # alpha <= d that is a tiny kd, where part_a and part_b cancel; at
+            # alpha > d a kd far beyond ASYMPTOTIC_TAIL_CUTOFF: part_a is all of lambda
+            if alpha <= d:
+                raise _intermediate_beyond_double_range(d, alpha, kd)
+            lam, est = _huge_gamma_part_in_logs(d, alpha, delta, t, kd)
             return _asymptotic_result(lam, 0, est)
         if kd >= ASYMPTOTIC_TAIL_CUTOFF:
             # the rounding of the exponent (kd/2)^(alpha-d) in part_a dominates
@@ -584,6 +583,17 @@ def _wavevector(kvec, d: int) -> tuple[int, ...]:
     return kt
 
 
+def _pair(item):
+    # an item of coeffs.items() as a pair, or a ValueError naming the item
+    try:
+        kvec, amp = item
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"coeffs.items() yielded {item!r}, not a (wavevector, amplitude) pair"
+        ) from None
+    return kvec, amp
+
+
 def apply_to_fourier_coeffs(
     params: KernelParams,
     coeffs: Mapping[tuple[int, ...], complex],
@@ -605,58 +615,50 @@ def apply_to_fourier_coeffs(
     each such key converted to its int tuple, in place. A key that is a
     plain tuple of d exact ints is its own output key; any other key comes
     back as its int tuple.
-    Output is in the order of ``coeffs``; an invalid wavevector, or an item
-    of ``coeffs.items()`` that is not a pair, raises ValueError when the
-    pass reaches it.
+    Output is in the order of ``coeffs``. A ``coeffs`` whose ``items`` is
+    not callable, or returns no iterable, raises ValueError; so do an
+    invalid wavevector and an item of ``coeffs.items()`` that is not a
+    pair, when the pass reaches them.
     """
     _check_params(params)
     tol = _check_tol(tol)
-    try:
-        items = coeffs.items
-    except AttributeError:
+    items = getattr(coeffs, "items", None)
+    if not callable(items):
         raise ValueError(
             f"coeffs must be a mapping of wavevector to amplitude, got {type(coeffs)!r}"
-        ) from None
+        )
+    pairs = items()
+    if not isinstance(pairs, ItemsView):  # an items view yields pairs
+        try:
+            pairs = map(_pair, pairs)
+        except TypeError:
+            raise ValueError(f"coeffs.items() returned {pairs!r}, not an iterable") from None
     d = params.d
     cache: dict[int, float] = {}
     squares: dict[int, int] = {}
     square = squares.__getitem__
     out: dict[tuple[int, ...], complex] = {}
-    try:
-        for kvec, amp in items():
-            # a short key of checked coordinates would give a wrong m
-            if type(kvec) is not tuple or len(kvec) != d:
-                kvec = _wavevector(kvec, d)
-            try:
-                m = sum(map(square, kvec))
-            except (KeyError, TypeError):  # a coordinate not checked yet in this call
-                kt = _wavevector(kvec, d)  # also raises on an unhashable entry
-                for c in kt:
-                    squares[c] = c * c
-                m = sum(map(square, kt))
-            try:
-                lam = cache[m]
-            except KeyError:
-                lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
-            try:
-                out[kvec] = amp * lam
-            except TypeError:
-                raise ValueError(
-                    f"amplitude {amp!r} of wavevector {_wavevector(kvec, d)!r} is not a number"
-                ) from None
-    except (TypeError, ValueError) as exc:
-        # only an item that does not unpack into a pair fails in this frame
-        # itself: every other error of the loop is raised by a call, or is
-        # the amplitude's, raised from None
-        if exc.__traceback__.tb_next is None and not exc.__suppress_context__:
-            for item in items():  # name the first item that is not a pair
-                try:
-                    _, _ = item
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"coeffs.items() yielded {item!r}, not a (wavevector, amplitude) pair"
-                    ) from None
-        raise
+    for kvec, amp in pairs:
+        # a short key of checked coordinates would give a wrong m
+        if type(kvec) is not tuple or len(kvec) != d:
+            kvec = _wavevector(kvec, d)
+        try:
+            m = sum(map(square, kvec))
+        except (KeyError, TypeError):  # a coordinate not checked yet in this call
+            kt = _wavevector(kvec, d)  # also raises on an unhashable entry
+            for c in kt:
+                squares[c] = c * c
+            m = sum(map(square, kt))
+        try:
+            lam = cache[m]
+        except KeyError:
+            lam = cache[m] = lambda_hybrid(params, math.sqrt(m), tol).lam
+        try:
+            out[kvec] = amp * lam
+        except TypeError:
+            raise ValueError(
+                f"amplitude {amp!r} of wavevector {_wavevector(kvec, d)!r} is not a number"
+            ) from None
     # a memo hit is an entry equal to a checked int, so only its type can be
     # wrong: 2.0, True, an IntEnum, Fraction(2) or Decimal(2)
     only_ints = {int}.issuperset

@@ -225,6 +225,36 @@ class TestTable:
             assert run("table", "--d", "2", *grid, "--out", str(out)) == 2, bad
             assert not out.exists(), bad
 
+    def test_last_grid_point_is_the_maximum(self, tmp_path):
+        # lo + (hi - lo) rounds to 4.0 = d + 2 here, and 0.3 + 6 * 0.6 / 6 to
+        # 0.9000000000000001; the points between keep their arithmetic
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "2", "--alpha-min", "0.7", "--alpha-max", "3.9999999999999996",
+                "--alpha-steps", "2", "--kdelta-min", "0.3", "--kdelta-max", "0.9",
+                "--kdelta-steps", "7", "--method", "mac", "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert [float(r["alpha"]) for r in rows[::7]] == [0.7, 3.9999999999999996]
+        kds = [0.3 + i * (0.9 - 0.3) / 6 for i in range(6)] + [0.9]
+        assert [float(r["kdelta"]) for r in rows[:7]] == kds
+
+    def test_grid_beyond_double_range_exits_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def evaluated(*_args):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr(cli, "_Evaluator", evaluated)
+        out = tmp_path / "t.csv"
+        assert (
+            run("table", "--d", "2", "--alpha-min", "0", "--alpha-max", "1",
+                "--alpha-steps", "2", "--kdelta-min", "1", "--kdelta-max", "1.7e308",
+                "--kdelta-steps", "3", "--out", str(out)) == 2
+        )
+        assert "leaves the double range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method,columns", [
         ("mac", ["lambda_mac", "terms_mac", "est_mac", "err_mac"]),
         ("asy", ["lambda_asy", "terms_asy", "est_asy", "err_asy"]),
@@ -516,6 +546,25 @@ class TestPhase:
         _, rows = read_csv(out)
         assert len(rows) == 2
         assert all(math.isnan(float(r["re_T"])) and math.isnan(float(r["im_T"])) for r in rows)
+
+    def test_last_grid_point_is_the_maximum(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert (
+            run("phase", "--alpha", "1", "--beta", "1", "--order", "5",
+                "--re-min", "0.3", "--re-max", "0.9", "--im-min", "0.3", "--im-max", "0.9",
+                "--nx", "7", "--ny", "7", "--out", str(out)) == 0
+        )
+        _, rows = read_csv(out)
+        assert float(rows[6]["re_z"]) == 0.9 and float(rows[-1]["im_z"]) == 0.9
+
+    def test_grid_beyond_double_range_exits_2(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert (
+            run("phase", "--alpha", "1", "--beta", "1", "--order", "5",
+                "--re-min=-1e308", "--re-max", "1e308", "--im-min", "0", "--im-max", "1",
+                "--nx", "2", "--ny", "2", "--out", str(out)) == 2
+        )
+        assert not out.exists()
 
     def test_order_guard_exits_2(self, tmp_path):
         out = tmp_path / "p.csv"

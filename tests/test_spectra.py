@@ -8,6 +8,7 @@ from collections import namedtuple
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
@@ -264,6 +265,14 @@ class TestStablePrefactor:
                 # the true x = 1e-9 value differs from the limit by O(1e-9)
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(b)) + 1e-8
 
+    @pytest.mark.parametrize("x, log_y", [(-0.75, -600.0), (0.5, 800.0)])
+    def test_overflowing_expm1_gives_signed_inf_and_its_exponent(self, x, log_y):
+        f, t = kernels.stable_prefactor(x, log_y, 1.5)
+        assert f == math.copysign(math.inf, x)
+        ref = 2.0 * x * log_y + math.lgamma(x + 1.0) + math.lgamma(1.5) - math.lgamma(1.5 - x)
+        assert 709.0 < t < math.inf
+        assert rel(t, ref) <= 1e-14
+
     def test_same_bits_with_cold_and_warm_log_gamma_memo(self):
         args = [(x, y, z) for x in (-0.75, 0.5, 2.0) for y in (0.01, 3.0) for z in (2.5, 5.0)]
         _purepy._log_gamma_ratios.cache_clear()
@@ -284,7 +293,7 @@ class TestAsymptoticGammaPart:
             assert abs(got - float(ref)) / scale <= 1e-12, (d, alpha, kd)
             alpha += 0.25
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 11))
     def test_limit_branch_at_alpha_d(self, d):
         got = _asy_gamma_part(d, float(d), math.gamma(0.5 * d), math.log(2.0 / 9.0))[0]
         ref = oracle_asy_part_a(d, d, 9.0)
@@ -1307,9 +1316,10 @@ class TestApplyToFourierCoeffs:
         norms = {sum(c * c for c in k) for k in keys}
         assert sorted(calls) == sorted(map(math.sqrt, norms))
 
-    @pytest.mark.parametrize("coeffs", [[((1, 0), 1.0)], None, 5])
+    @pytest.mark.parametrize("coeffs", [[((1, 0), 1.0)], None, 5, SimpleNamespace(items=5)])
     def test_coeffs_without_items_rejected(self, coeffs):
-        # these used to raise a bare AttributeError
+        # these used to raise a bare AttributeError, or TypeError where items
+        # is not callable
         with pytest.raises(ValueError, match=r"coeffs must be a mapping .*, got <class "):
             apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), coeffs)
 
@@ -1342,6 +1352,30 @@ class TestApplyToFourierCoeffs:
         # an invalid wavevector reached first is named, not the item after it
         with pytest.raises(ValueError, match="non-integral entry"):
             apply_to_fourier_coeffs(params, Items(((0.5, 1), 1.0)))
+
+    def test_items_that_are_not_iterable_rejected(self):
+        class Items:
+            def items(self):
+                return 5
+
+        with pytest.raises(ValueError, match=re.escape("coeffs.items() returned 5, not an iterable")):
+            apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), Items())
+
+    def test_item_that_is_not_a_pair_named_from_a_one_shot_iterator(self):
+        # items() returns the same iterator each time: the item is named from
+        # the one pass over it
+        item = ((1, 0), 1.0, 2.0)
+
+        class Once:
+            def __init__(self):
+                self.pairs = iter([((0, 1), 1.0), item])
+
+            def items(self):
+                return self.pairs
+
+        message = re.escape(f"coeffs.items() yielded {item!r}, not a (wavevector, amplitude) pair")
+        with pytest.raises(ValueError, match=message):
+            apply_to_fourier_coeffs(KernelParams(2, 1.0, 0.5), Once())
 
     def test_duck_typed_mapping_accepted(self):
         class Pairs:
